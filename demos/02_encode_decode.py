@@ -8,14 +8,21 @@ Nodes 1..4 are systematic: their u symbols ARE the information symbols.
 
 from itertools import combinations
 
-from mdsrepair import GF, decode, encode, init_systematic, is_mds, read_systematic
+from mdsrepair import (
+    GF,
+    decode,
+    encode,
+    find_mds_violation,
+    init_systematic,
+    read_systematic,
+)
 
 
 def main():
     gf = GF(8)
     state = init_systematic(4, 2, gf)
     print(f"code: n={state.n} k={state.k} over {gf}")
-    print(f"mds check over all 70 column subsets: {is_mds(state)}")
+    print(f"mds check over all 70 column subsets: {find_mds_violation(state) is None}")
     print()
 
     print("u columns (frozen forever):")

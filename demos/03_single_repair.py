@@ -13,8 +13,8 @@ from mdsrepair import (
     GF,
     dot,
     encode,
+    find_mds_violation,
     init_systematic,
-    is_mds,
     rebuild_symbols,
     repair,
 )
@@ -40,7 +40,7 @@ def main():
     print(f"old v4 = {[f'{v:04x}' for v in state.v_cols[3]]}")
     print(f"new v4 = {[f'{v:04x}' for v in new_state.v_cols[3]]}  (functional repair)")
     print(f"u columns unchanged: {new_state.u_cols == state.u_cols}")
-    print(f"post-repair mds check (70 subsets): {is_mds(new_state)}")
+    print(f"post-repair mds check (70 subsets): {find_mds_violation(new_state) is None}")
     print()
 
     stripe = tuple(gf.random_element(rng) for _ in range(4))

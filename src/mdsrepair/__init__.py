@@ -14,7 +14,6 @@ from .bounds import (
     cut_bound,
     degree_bound,
     find_cut_violation,
-    satisfies_cut_inequalities,
 )
 from .code import (
     CodeState,
@@ -26,7 +25,6 @@ from .code import (
     encode,
     find_mds_violation,
     init_systematic,
-    is_mds,
     read_systematic,
 )
 from .field import GF
@@ -38,9 +36,7 @@ from .repair import (
     find_replacement_conflict,
     rebuild_symbols,
     repair,
-    replacement_keeps_mds,
     retained_columns,
-    retained_label,
     solve_coefficients,
     subset_witness,
 )
@@ -88,14 +84,10 @@ __all__ = [
     "find_replacement_conflict",
     "ingest",
     "init_systematic",
-    "is_mds",
     "read_systematic",
     "rebuild_symbols",
     "repair",
-    "replacement_keeps_mds",
     "retained_columns",
-    "retained_label",
-    "satisfies_cut_inequalities",
     "solve_coefficients",
     "subset_witness",
 ]

@@ -43,10 +43,6 @@ class RepairPlan:
     def d(self) -> int:
         return len(self.downloads)
 
-    @property
-    def total_downloaded(self) -> Amount:
-        return sum(self.downloads)
-
 
 def cut_bound(file_size: Amount, k: int, d: int) -> Fraction:
     """Minimum total symbols any repair from d helpers must move.
@@ -87,10 +83,6 @@ def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
         if base + (total - inside) < plan.file_size:
             return subset
     return None
-
-
-def satisfies_cut_inequalities(plan: RepairPlan, k: int) -> bool:
-    return find_cut_violation(plan, k) is None
 
 
 def degree_bound(n: int, k: int) -> int:

@@ -2,15 +2,15 @@
 
 Commands:
 
-    mdsrepair gen      --n N --k K --field {gf256,gf65536} --seed S --out F
+    mdsrepair gen      --n N --k K --field {gf256,gf65536} --out F
     mdsrepair verify   FILE
     mdsrepair repair   FILE --failed I [--helpers 1,2,3] --seed S
     mdsrepair simulate --n N --k K --field ... --rounds R --seed S
                        [--input BYTES_FILE] [--report OUT]
     mdsrepair bound    --k K [--B SYMBOLS --d HELPERS] [--n N]
 
-Every command is deterministic given its seed and inputs; re-running
-produces byte-identical files and reports.
+Every command is deterministic given its inputs (and its seed, where it
+draws); re-running produces byte-identical files and reports.
 
 Exit codes: 0 success, 1 invariant or verification failure (including a
 repair that exhausts its retries), 2 usage error (bad flags, bad shapes,
@@ -18,8 +18,10 @@ fields too small, bad node ids).
 
 State files are JSON with a fixed key order and lowercase fixed-width hex
 symbols, so serialize(deserialize(f)) == f byte-for-byte.  Loading always
-re-validates: shapes, the systematic basis columns, and the exhaustive
-full-rank scan over all 2k-subsets.
+re-validates, for every command: the history is replayed from the
+systematic init and must reproduce the stored columns, which must pass
+the exhaustive full-rank scan over all 2k-subsets.  Files are replaced
+atomically, so a crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -34,6 +37,7 @@ from pathlib import Path
 from .bounds import cut_bound, degree_bound
 from .code import (
     CodeState,
+    all_columns,
     column_label,
     find_mds_violation,
     init_systematic,
@@ -44,11 +48,17 @@ from .errors import (
     BadShape,
     FieldTooSmall,
     MdsRepairError,
-    RetriesExhausted,
     StateFileError,
 )
 from .field import GF
-from .repair import RepairDraw, RepairTranscript, default_helpers, repair
+from .repair import (
+    RepairDraw,
+    RepairTranscript,
+    combine_replacement,
+    default_helpers,
+    repair,
+    solve_coefficients,
+)
 from .sim import campaign, ingest
 
 FORMAT_VERSION = "1"
@@ -129,12 +139,15 @@ def _parse_col(field: GF, raw, dim: int, what: str) -> tuple[int, ...]:
     return tuple(_parse_sym(field, s, what) for s in raw)
 
 
-def load_state_text(text: str, validate: bool = True):
-    """Parse a state file; returns (state, history).
+def load_state_text(text: str):
+    """Parse a state file and prove it; returns (state, history).
 
-    With validate=True (every command except the verify scan itself) the
-    loaded state must have the systematic basis in u_1..u_2k and pass the
-    exhaustive full-rank scan.
+    The history is replayed from ``init_systematic(n, k, field)``: each
+    transcript must name valid helpers, chain its epochs, and carry
+    exactly the coefficients and column its draw implies.  The replayed
+    columns must equal the stored ones, and the stored columns must pass
+    the exhaustive full-rank scan.  Retry counts are not checked: the
+    rejected draws are not recorded.
     """
     try:
         doc = json.loads(text)
@@ -162,8 +175,10 @@ def load_state_text(text: str, validate: bool = True):
         epoch = int(doc["epoch"])
     except (KeyError, TypeError, ValueError):
         raise StateFileError("n, k and epoch must be integers") from None
-    if k < 1 or 2 * k > n:
-        raise StateFileError(f"shape requires 1 <= k and 2k <= n, got n={n}, k={k}")
+    try:
+        replay = init_systematic(n, k, field)
+    except MdsRepairError as e:
+        raise StateFileError(str(e)) from None
     dim = 2 * k
 
     u_raw, v_raw = doc.get("u"), doc.get("v")
@@ -179,60 +194,72 @@ def load_state_text(text: str, validate: bool = True):
     raw_history = doc.get("history", [])
     if not isinstance(raw_history, list):
         raise StateFileError("history must be a list")
-    for idx, t in enumerate(raw_history):
+    for idx, raw in enumerate(raw_history):
         what = f"history[{idx}]"
         try:
-            draw = RepairDraw(
-                alpha1=_parse_sym(field, t["xi"]["alpha1"], what),
-                beta1=_parse_sym(field, t["xi"]["beta1"], what),
-                rho=tuple(_parse_sym(field, r, what) for r in t["xi"]["rho"]),
-            )
-            history.append(
-                RepairTranscript(
-                    failed=int(t["failed"]),
-                    helpers=tuple(int(h) for h in t["helpers"]),
-                    draw=draw,
-                    alpha=tuple(_parse_sym(field, a, what) for a in t["alpha"]),
-                    beta=tuple(_parse_sym(field, b, what) for b in t["beta"]),
-                    v_new=_parse_col(field, t["v_prime"], dim, what),
-                    retries=int(t["retries"]),
-                    epoch_before=int(t["epoch_before"]),
-                    epoch_after=int(t["epoch_after"]),
-                )
+            t = RepairTranscript(
+                failed=int(raw["failed"]),
+                helpers=tuple(int(h) for h in raw["helpers"]),
+                draw=RepairDraw(
+                    alpha1=_parse_sym(field, raw["xi"]["alpha1"], what),
+                    beta1=_parse_sym(field, raw["xi"]["beta1"], what),
+                    rho=tuple(_parse_sym(field, r, what) for r in raw["xi"]["rho"]),
+                ),
+                alpha=tuple(_parse_sym(field, a, what) for a in raw["alpha"]),
+                beta=tuple(_parse_sym(field, b, what) for b in raw["beta"]),
+                v_new=_parse_col(field, raw["v_prime"], dim, what),
+                retries=int(raw["retries"]),
+                epoch_before=int(raw["epoch_before"]),
+                epoch_after=int(raw["epoch_after"]),
             )
         except (KeyError, TypeError, ValueError):
             raise StateFileError(f"{what} is malformed") from None
+        if (t.epoch_before, t.epoch_after) != (idx, idx + 1):
+            raise StateFileError(
+                f"{what} runs from epoch {t.epoch_before} to {t.epoch_after}, "
+                f"not {idx} to {idx + 1}"
+            )
+        try:
+            alpha, beta = solve_coefficients(
+                replay, t.failed, t.helpers, t.draw.alpha1, t.draw.beta1
+            )
+            v_new = combine_replacement(replay, t.helpers, alpha, beta, t.draw.rho)
+        except MdsRepairError as e:
+            raise StateFileError(f"{what} does not replay: {e}") from None
+        if (t.alpha, t.beta) != (alpha, beta) or t.v_new != v_new:
+            raise StateFileError(f"{what} does not match the draw it records")
+        replay = replay.repaired(t.failed, v_new)
+        history.append(t)
     if epoch != len(history):
         raise StateFileError(
             f"epoch {epoch} does not match history length {len(history)}"
         )
-
-    if validate:
-        _validate_systematic(state)
-        violation = find_mds_violation(state)
-        if violation is not None:
-            labels = ", ".join(column_label(state, p) for p in violation)
-            raise StateFileError(f"stored columns are not MDS: [{labels}] rank-deficient")
+    for pos, (got, want) in enumerate(zip(all_columns(state), all_columns(replay))):
+        if got != want:
+            raise StateFileError(
+                f"{column_label(state, pos)} does not match the replayed history"
+            )
+    violation = find_mds_violation(state)
+    if violation is not None:
+        labels = ", ".join(column_label(state, p) for p in violation)
+        raise StateFileError(f"stored columns are not MDS: [{labels}] rank-deficient")
     return state, history
 
 
-def _validate_systematic(state: CodeState) -> None:
-    for i in range(state.dim):
-        expect = tuple(1 if r == i else 0 for r in range(state.dim))
-        if state.u_cols[i] != expect:
-            raise StateFileError(f"u{i + 1} is not the standard basis column e{i + 1}")
-
-
-def _read_state(path: str, validate: bool = True):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise StateFileError(f"cannot read {path}: {e}") from None
-    return load_state_text(text, validate=validate)
-
-
 def _write_state(path: str, state: CodeState, history) -> None:
-    Path(path).write_text(dump_state_text(state, history))
+    """Replace ``path`` atomically: temp file, fsync, then rename over it."""
+    text = dump_state_text(state, history)
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +269,25 @@ def _write_state(path: str, state: CodeState, history) -> None:
 def _cmd_gen(args) -> int:
     m, poly = FIELDS[args.field]
     field = GF(m, poly)
-    state = init_systematic(args.n, args.k, field, args.seed)
+    state = init_systematic(args.n, args.k, field)
     _write_state(args.out, state, [])
     print(f"wrote n={args.n} k={args.k} field={args.field} epoch=0 -> {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    state, history = _read_state(args.path, validate=False)
+    text = Path(args.path).read_text()
+    try:
+        state, history = load_state_text(text)
+    except StateFileError as e:
+        print(f"FAIL: {e}")
+        return 1
     total = math.comb(2 * state.n, 2 * state.k)
     print(
         f"n={state.n} k={state.k} field={field_name(state.field)} "
         f"epoch={state.epoch} history={len(history)}"
     )
-    try:
-        _validate_systematic(state)
-    except StateFileError as e:
-        print(f"systematic columns: FAIL ({e})")
-        return 1
     print("systematic columns: ok")
-    violation = find_mds_violation(state)
-    if violation is not None:
-        labels = ", ".join(column_label(state, p) for p in violation)
-        print(f"mds: FAIL, subset [{labels}] is rank-deficient")
-        return 1
     print(f"mds: {total}/{total} subsets full rank")
     return 0
 
@@ -280,7 +302,7 @@ def _parse_helpers(text):
 
 
 def _cmd_repair(args) -> int:
-    state, history = _read_state(args.path)
+    state, history = load_state_text(Path(args.path).read_text())
     helpers = _parse_helpers(args.helpers)
     if helpers is None:
         helpers = default_helpers(state, args.failed)
@@ -307,7 +329,7 @@ def _cmd_simulate(args) -> int:
         data = Path(args.input).read_bytes()
     else:
         data = rng.randbytes(64)
-    cluster = ingest(data, args.n, args.k, field, args.seed)
+    cluster = ingest(data, args.n, args.k, field)
     report = campaign(cluster, args.rounds, rng)
     text = (
         f"simulate: n={args.n} k={args.k} field={args.field} "
@@ -342,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="node count")
     p.add_argument("--k", type=int, required=True, help="data pieces (2k <= n)")
     p.add_argument("--field", choices=sorted(FIELDS), default="gf65536")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output state file")
     p.set_defaults(func=_cmd_gen)
 
@@ -385,13 +406,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (StateFileError, RetriesExhausted) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except MdsRepairError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (MdsRepairError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ Columns are 0-indexed internally; node ids in the public API are 1-based
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from . import matrix
@@ -56,8 +56,14 @@ class CodeState:
             raise BadShape(f"node {node} outside 1..{self.n}")
         return self.u_cols[node - 1], self.v_cols[node - 1]
 
+    def repaired(self, node: int, v_new: Column) -> CodeState:
+        """The next epoch's state, with node ``node``'s v column replaced."""
+        v_cols = list(self.v_cols)
+        v_cols[node - 1] = v_new
+        return replace(self, v_cols=tuple(v_cols), epoch=self.epoch + 1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NodeContent:
     """What one node stores for one stripe."""
 
@@ -77,7 +83,7 @@ def dot(gf: GF, a, b) -> int:
     return acc
 
 
-def init_systematic(n: int, k: int, field: GF, seed: int | None = None) -> CodeState:
+def init_systematic(n: int, k: int, field: GF) -> CodeState:
     """Fresh systematic code state for n nodes and k data pieces.
 
     The 2n columns are those of the systematic generator [I | C] where C
@@ -89,9 +95,6 @@ def init_systematic(n: int, k: int, field: GF, seed: int | None = None) -> CodeS
 
     Identity columns become u_1..u_2k.  The 2n-2k Cauchy columns fill
     u_(2k+1)..u_n and then v_1..v_n, in that order.
-
-    ``seed`` is accepted for call-site symmetry with the randomized repair
-    path but unused: this construction is deterministic.
     """
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
@@ -130,24 +133,28 @@ def column_label(state: CodeState, pos: int) -> str:
     return f"v{pos - state.n + 1}"
 
 
-def find_mds_violation(state: CodeState) -> tuple[int, ...] | None:
-    """First rank-deficient 2k-subset of the 2n columns, or None.
+def first_singular(gf: GF, cols, size: int, extra=()) -> tuple[int, ...] | None:
+    """First ``size``-subset S of ``cols`` with det([S | extra]) == 0, or None.
 
-    Exhaustive over all C(2n, 2k) subsets in lexicographic order; positions
-    index into all_columns.  det of the transpose equals det of the matrix,
-    so each subset's columns are fed to det directly as rows.
+    The one subset scan behind both MDS checks.  Subsets are positions
+    into ``cols`` in lexicographic order and the scan stops at the first
+    zero determinant.  det of the transpose equals det of the matrix, so
+    the columns are fed to det directly as rows.
     """
-    cols = all_columns(state)
-    gf = state.field
-    for subset in combinations(range(2 * state.n), state.dim):
-        if matrix.det(gf, [cols[i] for i in subset]) == 0:
+    extra = list(extra)
+    for subset in combinations(range(len(cols)), size):
+        if matrix.det(gf, [cols[i] for i in subset] + extra) == 0:
             return subset
     return None
 
 
-def is_mds(state: CodeState) -> bool:
-    """True iff every 2k-subset of the 2n columns has full rank 2k."""
-    return find_mds_violation(state) is None
+def find_mds_violation(state: CodeState) -> tuple[int, ...] | None:
+    """First rank-deficient 2k-subset of the 2n columns, or None.
+
+    Exhaustive over all C(2n, 2k) subsets; positions index into
+    all_columns.
+    """
+    return first_singular(state.field, all_columns(state), state.dim)
 
 
 def encode(state: CodeState, stripe) -> list[NodeContent]:

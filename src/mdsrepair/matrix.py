@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over GF(2^m).
+"""Exact dense linear algebra over GF(2^m): ``det`` and ``solve``.
 
 Matrices are lists of rows, rows are lists (or tuples) of ints from one
 field.  Everything here is pure: inputs are copied before elimination.
@@ -8,67 +8,15 @@ keeps runs reproducible.  Row swaps never flip a determinant sign because
 -1 = 1 in characteristic 2.
 
 The determinant is the hot path of the whole package (it runs once per
-column subset in the exhaustive MDS scans), so ``det`` and ``solve`` index
-the field's tables directly instead of calling per-element methods.
+column subset in the exhaustive MDS scans); ``solve`` serves coefficient
+solving and decode.  Both index the field's tables directly instead of
+calling per-element methods.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NonSquare, Singular
 from .field import GF
-
-Row = list[int]
-
-
-def _check_rect(m) -> tuple[int, int]:
-    if not m:
-        return 0, 0
-    ncols = len(m[0])
-    for row in m:
-        if len(row) != ncols:
-            raise DimensionMismatch("ragged matrix")
-    return len(m), ncols
-
-
-def identity(n: int) -> list[Row]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(gf: GF, a, b) -> list[Row]:
-    ra, ca = _check_rect(a)
-    rb, cb = _check_rect(b)
-    if ca != rb:
-        raise DimensionMismatch(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    exp, log = gf.exp, gf.log
-    out = [[0] * cb for _ in range(ra)]
-    for i in range(ra):
-        arow = a[i]
-        orow = out[i]
-        for t in range(ca):
-            v = arow[t]
-            if v:
-                lv = log[v]
-                brow = b[t]
-                for j in range(cb):
-                    w = brow[j]
-                    if w:
-                        orow[j] ^= exp[lv + log[w]]
-    return out
-
-
-def mat_vec(gf: GF, m, x) -> list[int]:
-    rows, cols = _check_rect(m)
-    if len(x) != cols:
-        raise DimensionMismatch(f"matrix is {rows}x{cols}, vector has length {len(x)}")
-    exp, log = gf.exp, gf.log
-    out = []
-    for row in m:
-        acc = 0
-        for v, w in zip(row, x):
-            if v and w:
-                acc ^= exp[log[v] + log[w]]
-        out.append(acc)
-    return out
 
 
 def det(gf: GF, m) -> int:
@@ -104,42 +52,6 @@ def det(gf: GF, m) -> int:
                     if v:
                         row[j] ^= exp[fl + log[v]]
     return exp[det_log % q1]
-
-
-def rank(gf: GF, m) -> int:
-    nrows, ncols = _check_rect(m)
-    if nrows == 0:
-        return 0
-    a = [list(row) for row in m]
-    exp, log = gf.exp, gf.log
-    q1 = gf.order - 1
-    rk = 0
-    for c in range(ncols):
-        p = None
-        for r in range(rk, nrows):
-            if a[r][c]:
-                p = r
-                break
-        if p is None:
-            continue
-        a[rk], a[p] = a[p], a[rk]
-        prow = a[rk]
-        neg = q1 - log[prow[c]]
-        for r in range(rk + 1, nrows):
-            f = a[r][c]
-            if f:
-                row = a[r]
-                fl = log[f] + neg
-                if fl >= q1:
-                    fl -= q1
-                for j in range(c, ncols):
-                    v = prow[j]
-                    if v:
-                        row[j] ^= exp[fl + log[v]]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
 
 
 def solve(gf: GF, m, b) -> list[int]:
@@ -187,33 +99,3 @@ def solve(gf: GF, m, b) -> list[int]:
         if acc:
             x[r] = exp[log[acc] + q1 - log[row[r]]]
     return x
-
-
-def invert(gf: GF, m) -> list[Row]:
-    """Matrix inverse by Gauss-Jordan elimination."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise NonSquare(f"inverse needs a square matrix, got a {n}x{len(row)} row")
-    a = [list(row) for row in m]
-    out = identity(n)
-    for c in range(n):
-        p = c
-        while p < n and not a[p][c]:
-            p += 1
-        if p == n:
-            raise Singular("matrix is singular")
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            out[c], out[p] = out[p], out[c]
-        scale = gf.inv(a[c][c])
-        a[c] = [gf.mul(scale, v) for v in a[c]]
-        out[c] = [gf.mul(scale, v) for v in out[c]]
-        for r in range(n):
-            if r == c:
-                continue
-            f = a[r][c]
-            if f:
-                a[r] = [v ^ gf.mul(f, w) for v, w in zip(a[r], a[c])]
-                out[r] = [v ^ gf.mul(f, w) for v, w in zip(out[r], out[c])]
-    return out

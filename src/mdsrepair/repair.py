@@ -28,11 +28,10 @@ loop terminates almost immediately in practice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass
 
 from . import matrix
-from .code import CodeState, Column
+from .code import CodeState, Column, first_singular
 from .errors import (
     BadHelpers,
     DimensionMismatch,
@@ -187,14 +186,6 @@ def retained_columns(state: CodeState, failed: int) -> list[Column]:
     ]
 
 
-def retained_label(state: CodeState, failed: int, pos: int) -> str:
-    """Name of a retained-column position ('u2', 'v5', ...)."""
-    if pos < state.n:
-        return f"u{pos + 1}"
-    v_ids = [i + 1 for i in range(state.n) if i + 1 != failed]
-    return f"v{v_ids[pos - state.n]}"
-
-
 def find_replacement_conflict(
     state: CodeState, failed: int, v_new
 ) -> tuple[int, ...] | None:
@@ -210,19 +201,9 @@ def find_replacement_conflict(
         raise DimensionMismatch(
             f"replacement column must have 2k={state.dim} entries, got {len(v_new)}"
         )
-    kept = retained_columns(state, failed)
-    gf = state.field
-    v_new = tuple(v_new)
-    for subset in combinations(range(len(kept)), state.dim - 1):
-        block = [kept[i] for i in subset]
-        block.append(v_new)
-        if matrix.det(gf, block) == 0:
-            return subset
-    return None
-
-
-def replacement_keeps_mds(state: CodeState, failed: int, v_new) -> bool:
-    return find_replacement_conflict(state, failed, v_new) is None
+    return first_singular(
+        state.field, retained_columns(state, failed), state.dim - 1, extra=(tuple(v_new),)
+    )
 
 
 def _draw(state: CodeState, rng: random.Random) -> RepairDraw:
@@ -256,9 +237,7 @@ def repair(
         alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
         v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
         if find_replacement_conflict(state, failed, v_new) is None:
-            new_v = list(state.v_cols)
-            new_v[failed - 1] = v_new
-            new_state = replace(state, v_cols=tuple(new_v), epoch=state.epoch + 1)
+            new_state = state.repaired(failed, v_new)
             transcript = RepairTranscript(
                 failed=failed,
                 helpers=helpers,

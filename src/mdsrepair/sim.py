@@ -15,7 +15,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable
 
 from .bounds import cut_bound
 from .code import (
@@ -29,6 +28,7 @@ from .code import (
     read_systematic,
 )
 from .errors import (
+    BadShape,
     DimensionMismatch,
     InvariantViolation,
     TooFewNodes,
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .field import GF
 from .repair import (
-    DEFAULT_MAX_RETRIES,
     RepairTranscript,
     default_helpers,
     rebuild_symbols,
@@ -62,18 +61,6 @@ class RepairRecord:
 @dataclass
 class BandwidthLedger:
     records: list[RepairRecord] = dc_field(default_factory=list)
-
-    @property
-    def downloaded(self) -> int:
-        return sum(r.symbols_downloaded for r in self.records)
-
-    @property
-    def bound(self) -> Fraction:
-        return sum((r.bound_symbols for r in self.records), Fraction(0))
-
-    @property
-    def naive(self) -> int:
-        return sum(r.naive_symbols for r in self.records)
 
 
 @dataclass
@@ -124,14 +111,14 @@ def _unpack_stripes(stripes, field: GF, orig_len: int) -> bytes:
     return bytes(out[:orig_len])
 
 
-def ingest(data: bytes, n: int, k: int, field: GF, seed: int | None = None) -> Cluster:
+def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
     """Encode raw bytes across n fresh nodes.
 
     The final stripe is zero-padded; the original byte length is recorded
     so extraction is exact.  Empty input yields a valid zero-stripe
     cluster.
     """
-    state = init_systematic(n, k, field, seed)
+    state = init_systematic(n, k, field)
     stripes = _pack_stripes(data, k, field)
     node_store: dict[int, list[NodeContent]] = {node: [] for node in range(1, n + 1)}
     for stripe in stripes:
@@ -151,14 +138,14 @@ def fail_and_repair(
     rng: random.Random,
     *,
     helpers=None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> Cluster:
     """Erase one node and rebuild it from k+1 helpers, symbol by symbol.
 
     The vector-level repair runs once; each stripe then replays the
     transcript's downloads against the helpers' stored symbols.  The
     ledger gains one record: k+1 symbols per stripe moved, against the
-    cut-bound minimum and the naive 2k-per-stripe baseline.
+    cut-bound minimum and the naive 2k-per-stripe baseline.  The cluster
+    changes only after the whole replay has succeeded.
     """
     state = cluster.state
     if state.n - 1 < state.k + 1:
@@ -170,35 +157,31 @@ def fail_and_repair(
     else:
         helpers = validate_helpers(state, failed, helpers)
 
-    new_state, transcript = repair(
-        state, failed, helpers, rng, max_retries=max_retries
-    )
+    new_state, transcript = repair(state, failed, helpers, rng)
 
-    cluster.node_store[failed] = []  # erased; rebuilt below from downloads only
-    rebuilt = []
+    rebuilt = []  # from the helpers' downloads only
     downloaded = 0
     for s in range(len(cluster.stripes)):
         contents = [cluster.node_store[h][s] for h in helpers]
         downloaded += len(contents)
         sym_u, sym_v = rebuild_symbols(new_state, contents, transcript)
         rebuilt.append(NodeContent(node=failed, sym_u=sym_u, sym_v=sym_v))
-    cluster.node_store[failed] = rebuilt
+    n_stripes = len(cluster.stripes)
+    record = RepairRecord(
+        failed=failed,
+        stripes=n_stripes,
+        symbols_downloaded=downloaded,
+        bound_symbols=cut_bound(2 * state.k, state.k, state.k + 1) * n_stripes
+        if n_stripes
+        else Fraction(0),
+        naive_symbols=2 * state.k * n_stripes,
+        retries=transcript.retries,
+    )
 
+    cluster.node_store[failed] = rebuilt
     cluster.state = new_state
     cluster.history.append(transcript)
-    n_stripes = len(cluster.stripes)
-    cluster.ledger.records.append(
-        RepairRecord(
-            failed=failed,
-            stripes=n_stripes,
-            symbols_downloaded=downloaded,
-            bound_symbols=cut_bound(2 * state.k, state.k, state.k + 1) * n_stripes
-            if n_stripes
-            else Fraction(0),
-            naive_symbols=2 * state.k * n_stripes,
-            retries=transcript.retries,
-        )
-    )
+    cluster.ledger.records.append(record)
     return cluster
 
 
@@ -226,6 +209,9 @@ def extract(cluster: Cluster, via) -> bytes:
         raise TooFewNodes(f"need k={state.k} nodes, got {len(nodes)}")
     if len(nodes) != state.k:
         raise DimensionMismatch(f"decode takes exactly k={state.k} nodes")
+    for node in nodes:
+        if not isinstance(node, int) or not 1 <= node <= state.n:
+            raise BadShape(f"node id {node!r} outside 1..{state.n}")
     stripes = [
         decode(state, [cluster.node_store[node][s] for node in nodes])
         for s in range(len(cluster.stripes))
@@ -301,18 +287,10 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
-FailurePolicy = Callable[[random.Random, Cluster], int]
-
-
-def campaign(
-    cluster: Cluster,
-    rounds: int,
-    rng: random.Random,
-    failure_policy: FailurePolicy | None = None,
-) -> CampaignReport:
+def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignReport:
     """Run ``rounds`` single-failure repairs with full checking after each.
 
-    Default policy fails a uniformly random node (repaired nodes included,
+    Each round fails a uniformly random node (repaired nodes included,
     so the same position can churn repeatedly); helpers default to the
     lowest-numbered survivors.  After every round the exhaustive MDS scan,
     the systematic read-back, and one spot decode must pass, otherwise
@@ -325,10 +303,7 @@ def campaign(
     mds_checks = systematic_checks = decode_checks = 0
 
     for _ in range(rounds):
-        if failure_policy is not None:
-            failed = failure_policy(rng, cluster)
-        else:
-            failed = rng.randrange(cluster.state.n) + 1
+        failed = rng.randrange(cluster.state.n) + 1
         fail_and_repair(cluster, failed, rng)
         histogram[cluster.history[-1].retries] += 1
 

@@ -3,7 +3,7 @@
 Nothing here may call into the code paths it verifies: multiplication is
 bitwise carry-less multiply plus explicit reduction, inverses come from
 exhaustive search over that multiply, and determinants come from Laplace
-cofactor expansion on top of it.
+cofactor expansion on top of it, as do matrix products.
 """
 
 from __future__ import annotations
@@ -48,3 +48,20 @@ def cofactor_det(rows, m: int, poly: int) -> int:
         ]
         acc ^= clmul_reduce(v, cofactor_det(minor, m, poly), m, poly)
     return acc
+
+
+def mat_vec(rows, x, m: int, poly: int) -> list[int]:
+    """Matrix-vector product, every product by clmul_reduce."""
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, x, strict=True):
+            acc ^= clmul_reduce(a, b, m, poly)
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b, m: int, poly: int) -> list[list[int]]:
+    """Matrix product, every product by clmul_reduce."""
+    cols = list(zip(*b))
+    return [mat_vec(cols, row, m, poly) for row in a]

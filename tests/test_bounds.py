@@ -10,7 +10,6 @@ from mdsrepair.bounds import (
     cut_bound,
     degree_bound,
     find_cut_violation,
-    satisfies_cut_inequalities,
 )
 from mdsrepair.errors import BadShape
 
@@ -63,7 +62,7 @@ def test_uniform_plan_meets_every_inequality_with_equality():
             node_storage=Fraction(file_size, k),
             downloads=(beta,) * d,
         )
-        assert satisfies_cut_inequalities(plan, k)
+        assert find_cut_violation(plan, k) is None
         # at d = k+1 every inequality is tight
         if d == k + 1:
             for subset in combinations(range(d), k - 1):
@@ -81,7 +80,7 @@ def test_simulator_shaped_plan_tight():
     # beta = 1 symbol from each of k+1 helpers, alpha = 2, B = 2k
     for k in (2, 3, 4):
         plan = RepairPlan(file_size=2 * k, node_storage=2, downloads=(1,) * (k + 1))
-        assert satisfies_cut_inequalities(plan, k)
+        assert find_cut_violation(plan, k) is None
         for subset in combinations(range(k + 1), k - 1):
             outside = sum(1 for i in range(k + 1) if i not in subset)
             assert (k - 1) * 2 + outside == 2 * k  # equality, not slack
@@ -115,8 +114,8 @@ def test_any_feasible_plan_downloads_at_least_the_bound(k, extra_d, slack, file_
         node_storage=Fraction(file_size, k),
         downloads=downloads,
     )
-    assert satisfies_cut_inequalities(plan, k)
-    assert plan.total_downloaded >= cut_bound(file_size, k, d)
+    assert find_cut_violation(plan, k) is None
+    assert sum(plan.downloads) >= cut_bound(file_size, k, d)
 
 
 @given(
@@ -136,5 +135,5 @@ def test_passing_random_plans_respect_the_bound(k, extra_d, downloads, file_size
         node_storage=Fraction(file_size, k),
         downloads=tuple(downloads[:d]),
     )
-    if satisfies_cut_inequalities(plan, k):
-        assert plan.total_downloaded >= cut_bound(file_size, k, d)
+    if find_cut_violation(plan, k) is None:
+        assert sum(plan.downloads) >= cut_bound(file_size, k, d)

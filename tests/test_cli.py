@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import shutil
 
 import pytest
@@ -13,12 +15,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def gen_state(tmp_path, capsys, n=4, k=2, field="gf256", seed=7, name="state.json"):
+def gen_state(tmp_path, capsys, n=4, k=2, field="gf256", name="state.json"):
     path = tmp_path / name
     code, out, err = run(
         capsys,
-        "gen", "--n", str(n), "--k", str(k), "--field", field,
-        "--seed", str(seed), "--out", str(path),
+        "gen", "--n", str(n), "--k", str(k), "--field", field, "--out", str(path),
     )
     assert code == 0, err
     return path
@@ -30,6 +31,13 @@ def test_gen_then_verify(tmp_path, capsys):
     assert code == 0
     assert "systematic columns: ok" in out
     assert "70/70 subsets full rank" in out
+
+
+def test_gen_has_no_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "4", "--k", "2", "--seed", "1", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_rejects_bad_shape(tmp_path, capsys):
@@ -57,8 +65,7 @@ def test_verify_flags_corrupted_column(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
-    assert "FAIL" in out
-    assert "v1" in out  # names a violating subset
+    assert out == "FAIL: v1 does not match the replayed history\n"
 
 
 def test_repair_updates_in_place(tmp_path, capsys):
@@ -74,6 +81,7 @@ def test_repair_updates_in_place(tmp_path, capsys):
     assert entry["failed"] == 4
     assert entry["helpers"] == [1, 2, 3]
     assert len(entry["xi"]["rho"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]  # no temp file left
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
 
@@ -145,6 +153,85 @@ def test_loader_rejects_epoch_history_mismatch(tmp_path, capsys):
     doc["epoch"] = 5
     with pytest.raises(StateFileError):
         load_state_text(json.dumps(doc))
+
+
+def test_forged_history_fails_verify_and_repair(tmp_path, capsys):
+    path = gen_state(tmp_path, capsys, n=6, k=3, field="gf65536")
+    doc = json.loads(path.read_text())
+    rng = random.Random(77)
+    rand = [f"{rng.randrange(1 << 16):04x}" for _ in range(15)]
+    doc["history"] = [{
+        "failed": 6,
+        "helpers": [4, 4, 4, 4],
+        "xi": {"alpha1": "0000", "beta1": rand[0], "rho": rand[1:5]},
+        "alpha": ["0000"] * 4,
+        "beta": rand[5:9],
+        "v_prime": rand[9:15],
+        "retries": 0,
+        "epoch_before": 77,
+        "epoch_after": 78,
+    }]
+    doc["epoch"] = 1
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    before = path.read_bytes()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "FAIL" in out and "history[0]" in out
+    code, _, err = run(capsys, "repair", str(path), "--failed", "1", "--seed", "1")
+    assert code == 1
+    assert "history[0]" in err
+    assert path.read_bytes() == before
+
+
+def tamper(doc, what):
+    t = doc["history"][0]
+    if what == "helpers":
+        t["helpers"] = [t["helpers"][0]] * len(t["helpers"])
+    elif what == "epoch_before":
+        t["epoch_before"] = 77
+    elif what == "epoch_after":
+        t["epoch_after"] = 2
+    elif what == "alpha":
+        t["alpha"][1] = f"{int(t['alpha'][1], 16) ^ 1:02x}"
+    elif what == "v_prime":
+        t["v_prime"][0] = f"{int(t['v_prime'][0], 16) ^ 1:02x}"
+    elif what == "rho":
+        t["xi"]["rho"] = t["xi"]["rho"][:-1]
+    elif what == "stored_v":
+        # a consistent transcript whose column never reached the store
+        doc["v"][t["failed"] - 1] = doc["v"][t["failed"] % 4]
+    elif what == "failed":
+        t["failed"] = 9
+
+
+@pytest.mark.parametrize(
+    "what",
+    ["helpers", "epoch_before", "epoch_after", "alpha", "v_prime", "rho", "stored_v", "failed"],
+)
+def test_loader_replays_history(tmp_path, capsys, what):
+    path = gen_state(tmp_path, capsys)
+    assert run(capsys, "repair", str(path), "--failed", "2", "--seed", "5")[0] == 0
+    doc = json.loads(path.read_text())
+    load_state_text(json.dumps(doc))  # the untampered file loads
+    tamper(doc, what)
+    with pytest.raises(StateFileError):
+        load_state_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fault", ["fsync", "replace"])
+def test_state_write_is_atomic(tmp_path, capsys, monkeypatch, fault):
+    path = gen_state(tmp_path, capsys)
+    before = path.read_bytes()
+
+    def boom(*args):
+        raise OSError(f"injected {fault} failure")
+
+    monkeypatch.setattr(os, fault, boom)
+    code, _, err = run(capsys, "repair", str(path), "--failed", "4", "--seed", "3")
+    assert code == 1
+    assert f"injected {fault} failure" in err
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
 
 
 def test_loader_rejects_non_basis_u(tmp_path, capsys):

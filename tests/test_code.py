@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from mdsrepair import matrix
 from mdsrepair.code import (
     NodeContent,
     all_columns,
@@ -15,7 +14,6 @@ from mdsrepair.code import (
     encode,
     find_mds_violation,
     init_systematic,
-    is_mds,
     read_systematic,
 )
 from mdsrepair.errors import (
@@ -52,10 +50,9 @@ def test_init_is_mds_against_independent_rank_oracle():
     for subset in combinations(range(8), 4):
         rows = [cols[i] for i in subset]  # det(A^T) == det(A)
         assert cofactor_det(rows, 8, 0x11D) != 0, subset
-        assert matrix.rank(GF256, rows) == 4, subset
         checked += 1
     assert checked == 70
-    assert is_mds(STATE_4_2)
+    assert find_mds_violation(STATE_4_2) is None
 
 
 def test_init_6_3_is_mds(gf65536):
@@ -79,8 +76,10 @@ def test_init_rejects_small_field(gf65536):
 
 
 def test_init_deterministic_and_seed_independent():
-    again = init_systematic(4, 2, GF256, seed=99)
-    assert again == STATE_4_2
+    # the construction draws nothing, so it takes no seed at all
+    assert init_systematic(4, 2, GF(8)) == STATE_4_2
+    with pytest.raises(TypeError):
+        init_systematic(4, 2, GF256, seed=99)
 
 
 def test_duplicated_column_breaks_mds():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from mdsrepair.bounds import degree_bound
-from mdsrepair.code import dot, encode, find_mds_violation, init_systematic, is_mds
+from mdsrepair.code import dot, encode, find_mds_violation, init_systematic
 from mdsrepair.errors import (
     BadHelpers,
     DimensionMismatch,
@@ -22,9 +22,7 @@ from mdsrepair.repair import (
     find_replacement_conflict,
     rebuild_symbols,
     repair,
-    replacement_keeps_mds,
     retained_columns,
-    retained_label,
     solve_coefficients,
     subset_witness,
 )
@@ -123,7 +121,6 @@ def test_replacement_check_rejects_duplicates_and_zero():
     assert conflict is not None and 0 in conflict
     assert find_replacement_conflict(STATE, FAILED, STATE.v_cols[1]) is not None
     assert find_replacement_conflict(STATE, FAILED, (0, 0, 0, 0)) is not None
-    assert not replacement_keeps_mds(STATE, FAILED, (0, 0, 0, 0))
 
 
 def test_replacement_check_accepts_the_old_column():
@@ -131,7 +128,7 @@ def test_replacement_check_accepts_the_old_column():
     # putting it back reproduces the original MDS state
     kept = retained_columns(STATE, FAILED)
     assert STATE.v_cols[FAILED - 1] not in kept
-    assert replacement_keeps_mds(STATE, FAILED, STATE.v_cols[FAILED - 1])
+    assert find_replacement_conflict(STATE, FAILED, STATE.v_cols[FAILED - 1]) is None
 
 
 def test_retained_columns_order_and_labels():
@@ -140,10 +137,7 @@ def test_retained_columns_order_and_labels():
     assert kept[:4] == list(STATE.u_cols)
     assert kept[4] == STATE.v_cols[0]
     assert kept[5] == STATE.v_cols[2]
-    assert retained_label(STATE, 2, 0) == "u1"
-    assert retained_label(STATE, 2, 4) == "v1"
-    assert retained_label(STATE, 2, 5) == "v3"
-    assert retained_label(STATE, 2, 6) == "v4"
+    assert kept[6] == STATE.v_cols[3]
 
 
 def test_repair_preserves_mds_and_changes_one_column():
@@ -164,7 +158,7 @@ def test_repair_same_node_twice_keeps_u_column():
     s1, t1 = repair(STATE, 2, (1, 3, 4), rng)
     s2, t2 = repair(s1, 2, (1, 3, 4), rng)
     assert s1.u_cols[1] == s2.u_cols[1] == STATE.u_cols[1]
-    assert is_mds(s2)
+    assert find_mds_violation(s2) is None
 
 
 def test_repair_any_failed_node_any_helpers():

@@ -4,8 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from mdsrepair import sim
+from mdsrepair.code import find_mds_violation
 from mdsrepair.errors import (
+    BadShape,
     DimensionMismatch,
+    MdsRepairError,
     TooFewNodes,
     TooFewSurvivors,
 )
@@ -60,6 +64,14 @@ def test_extract_every_k_subset_and_validation():
         extract(cluster, (1,))
     with pytest.raises(DimensionMismatch):
         extract(cluster, (1, 2, 3))
+
+
+@pytest.mark.parametrize("via", [(1, 9), (0, 1), ("a", "b"), (1, 2.0)])
+def test_extract_rejects_bad_node_ids(via):
+    cluster = ingest(b"0123456789", 4, 2, GF256)
+    with pytest.raises(BadShape) as exc:
+        extract(cluster, via)
+    assert isinstance(exc.value, MdsRepairError)
 
 
 def test_systematic_extract_touches_no_field_arithmetic(monkeypatch):
@@ -123,6 +135,47 @@ def test_fail_and_repair_zero_stripes():
     assert cluster.state.epoch == 1
 
 
+def test_fail_and_repair_leaves_cluster_unchanged_when_replay_fails(monkeypatch):
+    cluster = ingest(random.Random(8).randbytes(48), 4, 2, GF256)
+    fail_and_repair(cluster, 1, random.Random(1))
+    store = {node: list(symbols) for node, symbols in cluster.node_store.items()}
+    state = cluster.state
+    history = list(cluster.history)
+    records = list(cluster.ledger.records)
+
+    real = sim.rebuild_symbols
+    calls = 0
+
+    def fails_on_stripe_2(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("injected fault on stripe 2")
+        return real(*args)
+
+    monkeypatch.setattr(sim, "rebuild_symbols", fails_on_stripe_2)
+    with pytest.raises(RuntimeError, match="stripe 2"):
+        fail_and_repair(cluster, 3, random.Random(2))
+    assert cluster.node_store == store
+    assert cluster.state is state
+    assert cluster.history == history
+    assert cluster.ledger.records == records
+
+
+def test_8_4_gf65536_repairs_keep_mds_and_decode(gf65536):
+    data = random.Random(84).randbytes(100)
+    cluster = ingest(data, 8, 4, gf65536)
+    assert find_mds_violation(cluster.state) is None
+    rng = random.Random(4)
+    for failed in (8, 1, 5):
+        fail_and_repair(cluster, failed, rng)
+        assert find_mds_violation(cluster.state) is None
+    assert cluster.state.epoch == 3
+    check_conservation(cluster)
+    assert extract(cluster, (1, 5, 7, 8)) == data
+    assert extract(cluster, "systematic") == data
+
+
 def test_fail_and_repair_too_few_survivors():
     cluster = ingest(b"\x01\x02", 2, 1, GF256)
     with pytest.raises(TooFewSurvivors):
@@ -173,19 +226,6 @@ def test_campaign_retry_rate_large_field(gf65536):
     report = campaign(cluster, 1000, random.Random(11))
     draws = report.rounds + report.retries
     assert report.retries / draws <= 0.01
-
-
-def test_campaign_custom_failure_policy():
-    cluster = ingest(b"abcd", 4, 2, GF256)
-    hits = []
-
-    def always_node_2(rng, cl):
-        hits.append(cl.state.epoch)
-        return 2
-
-    campaign(cluster, 5, random.Random(3), failure_policy=always_node_2)
-    assert len(hits) == 5
-    assert all(t.failed == 2 for t in cluster.history)
 
 
 def test_campaign_report_text_deterministic(gf65536):
