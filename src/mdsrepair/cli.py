@@ -17,11 +17,14 @@ repair that exhausts its retries), 2 usage error (bad flags, bad shapes,
 fields too small, bad node ids).
 
 State files are JSON with a fixed key order and lowercase fixed-width hex
-symbols, so serialize(deserialize(f)) == f byte-for-byte.  Loading always
-re-validates, for every command: the history is replayed from the
-systematic init and must reproduce the stored columns, which must pass
-the exhaustive full-rank scan over all 2k-subsets.  Files are replaced
-atomically, so a crash leaves either the old file or the new one.
+symbols, so serialize(deserialize(f)) == f byte-for-byte; ``_state_doc``
+is the one definition of the format.  Loading, for every command, reads
+only the replay's inputs (field width, n, k, and each repair's failed
+node, helpers, draw and retry count), replays them from the systematic
+init, and requires the file to equal the canonical document of the
+result key for key; the replayed columns must then pass the exhaustive
+full-rank scan over all 2k-subsets.  Files are replaced atomically, so a
+crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ from pathlib import Path
 from .bounds import cut_bound, degree_bound
 from .code import (
     CodeState,
-    all_columns,
     column_label,
     find_mds_violation,
     init_systematic,
 )
 from .errors import (
     BadHelpers,
-    BadPolynomial,
     BadShape,
     FieldTooSmall,
     MdsRepairError,
@@ -63,19 +64,10 @@ from .sim import campaign, ingest
 
 FORMAT_VERSION = "1"
 
-FIELDS = {
-    "gf256": (8, 0x11D),
-    "gf65536": (16, 0x1100B),
-}
+FIELDS = {"gf256": 8, "gf65536": 16}  # name -> field width m
+NAMES = {m: name for name, m in FIELDS.items()}
 
-USAGE_ERRORS = (BadShape, FieldTooSmall, BadHelpers, BadPolynomial)
-
-
-def field_name(field: GF) -> str:
-    for name, (m, poly) in FIELDS.items():
-        if (field.m, field.poly) == (m, poly):
-            return name
-    return f"gf2^{field.m}(0x{field.poly:x})"
+USAGE_ERRORS = (BadShape, FieldTooSmall, BadHelpers)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +82,10 @@ def _col_hex(field: GF, col) -> list[str]:
     return [_hex(field, v) for v in col]
 
 
-def dump_state_text(state: CodeState, history) -> str:
-    """Canonical serialization: fixed key order, lowercase hex, 2-space indent."""
+def _state_doc(state: CodeState, history) -> dict:
+    """The state file as a JSON document: the one definition of the format."""
     f = state.field
-    doc = {
+    return {
         "version": FORMAT_VERSION,
         "field": {"m": f.m, "reduction_poly": f"0x{f.poly:x}"},
         "n": state.n,
@@ -120,130 +112,111 @@ def dump_state_text(state: CodeState, history) -> str:
             for t in history
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_sym(field: GF, text: str, what: str) -> int:
-    try:
-        value = int(text, 16)
-    except (TypeError, ValueError):
-        raise StateFileError(f"bad hex symbol in {what}: {text!r}") from None
+def dump_state_text(state: CodeState, history) -> str:
+    """Canonical serialization: fixed key order, lowercase hex, 2-space indent."""
+    return json.dumps(_state_doc(state, history), indent=2) + "\n"
+
+
+def _sym(field: GF, text) -> int:
+    value = int(text, 16)
     if not 0 <= value < field.order:
-        raise StateFileError(f"symbol 0x{value:x} in {what} outside the field")
+        raise ValueError(f"{text!r} is outside the field")
     return value
 
 
-def _parse_col(field: GF, raw, dim: int, what: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or len(raw) != dim:
-        raise StateFileError(f"{what} must be a list of {dim} symbols")
-    return tuple(_parse_sym(field, s, what) for s in raw)
+def _same(a, b) -> bool:
+    """JSON equality: unlike ==, it tells 1.0 and true from 1."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _mismatch(doc: dict, want: dict) -> str | None:
+    """Where a parsed file first differs from the canonical dump of its replay."""
+    if doc.keys() != want.keys():
+        return f"keys {sorted(doc.keys() ^ want.keys())} are extra or missing"
+    for key, value in want.items():
+        got = doc[key]
+        if _same(got, value):
+            continue
+        if key == "epoch":
+            return f"epoch {got} does not match history length {len(want['history'])}"
+        if isinstance(value, list) and isinstance(got, list) and len(got) == len(value):
+            i = next(i for i, item in enumerate(value) if not _same(got[i], item))
+            if key == "history":
+                return f"history[{i}] does not match the draw it records"
+            return f"{key}{i + 1} does not match the replayed history"
+        if key == "field":
+            return f"field {json.dumps(got)} is not {json.dumps(value)}"
+        return f"{key} does not match the replayed history"
+    return None
 
 
 def load_state_text(text: str):
-    """Parse a state file and prove it; returns (state, history).
+    """Replay a state file and prove it; returns (state, history).
 
-    The history is replayed from ``init_systematic(n, k, field)``: each
-    transcript must name valid helpers, chain its epochs, and carry
-    exactly the coefficients and column its draw implies.  The replayed
-    columns must equal the stored ones, and the stored columns must pass
-    the exhaustive full-rank scan.  Retry counts are not checked: the
-    rejected draws are not recorded.
+    Only the replay's inputs are read: the version, the field width, n, k
+    and each history entry's failed node, helpers, draw and retry count.
+    The history is replayed from ``init_systematic(n, k, GF(m))``, and the
+    file must then equal the canonical dump of the replay key for key:
+    columns, coefficients, replacement columns and epochs are all derived
+    data.  The replayed columns must pass the exhaustive full-rank scan.
+    Retry counts are not checked: the rejected draws are not recorded.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
         raise StateFileError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise StateFileError("top-level value must be an object")
     if doc.get("version") != FORMAT_VERSION:
         raise StateFileError(f"unsupported format version {doc.get('version')!r}")
-
-    fdoc = doc.get("field", {})
     try:
-        m = int(fdoc["m"])
-        poly = int(fdoc["reduction_poly"], 16)
-    except (KeyError, TypeError, ValueError):
-        raise StateFileError("field section must carry m and reduction_poly") from None
-    try:
-        field = GF(m, poly)
-    except BadPolynomial as e:
+        field = GF(int(doc["field"]["m"]))
+        state = init_systematic(int(doc["n"]), int(doc["k"]), field)
+    except MdsRepairError as e:  # before ValueError, which most of them also are
         raise StateFileError(str(e)) from None
-
-    try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        epoch = int(doc["epoch"])
-    except (KeyError, TypeError, ValueError):
-        raise StateFileError("n, k and epoch must be integers") from None
-    try:
-        replay = init_systematic(n, k, field)
-    except MdsRepairError as e:
-        raise StateFileError(str(e)) from None
-    dim = 2 * k
-
-    u_raw, v_raw = doc.get("u"), doc.get("v")
-    if not isinstance(u_raw, list) or len(u_raw) != n:
-        raise StateFileError(f"u must hold {n} columns")
-    if not isinstance(v_raw, list) or len(v_raw) != n:
-        raise StateFileError(f"v must hold {n} columns")
-    u_cols = tuple(_parse_col(field, c, dim, f"u[{i}]") for i, c in enumerate(u_raw))
-    v_cols = tuple(_parse_col(field, c, dim, f"v[{i}]") for i, c in enumerate(v_raw))
-    state = CodeState(n=n, k=k, field=field, u_cols=u_cols, v_cols=v_cols, epoch=epoch)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise StateFileError("field.m, n and k must be integers") from None
 
     history = []
-    raw_history = doc.get("history", [])
+    raw_history = doc.get("history", [])  # if missing, the comparison names it
     if not isinstance(raw_history, list):
         raise StateFileError("history must be a list")
     for idx, raw in enumerate(raw_history):
-        what = f"history[{idx}]"
         try:
-            t = RepairTranscript(
-                failed=int(raw["failed"]),
-                helpers=tuple(int(h) for h in raw["helpers"]),
-                draw=RepairDraw(
-                    alpha1=_parse_sym(field, raw["xi"]["alpha1"], what),
-                    beta1=_parse_sym(field, raw["xi"]["beta1"], what),
-                    rho=tuple(_parse_sym(field, r, what) for r in raw["xi"]["rho"]),
-                ),
-                alpha=tuple(_parse_sym(field, a, what) for a in raw["alpha"]),
-                beta=tuple(_parse_sym(field, b, what) for b in raw["beta"]),
-                v_new=_parse_col(field, raw["v_prime"], dim, what),
-                retries=int(raw["retries"]),
-                epoch_before=int(raw["epoch_before"]),
-                epoch_after=int(raw["epoch_after"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            raise StateFileError(f"{what} is malformed") from None
-        if (t.epoch_before, t.epoch_after) != (idx, idx + 1):
+            xi = raw["xi"]
+            failed, retries = int(raw["failed"]), int(raw["retries"])
+            helpers = tuple(int(h) for h in raw["helpers"])
+            a1, b1 = _sym(field, xi["alpha1"]), _sym(field, xi["beta1"])
+            draw = RepairDraw(a1, b1, tuple(_sym(field, r) for r in xi["rho"]))
+            alpha, beta = solve_coefficients(state, failed, helpers, a1, b1)
+            v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+        except (KeyError, TypeError, ValueError, OverflowError, MdsRepairError) as e:
             raise StateFileError(
-                f"{what} runs from epoch {t.epoch_before} to {t.epoch_after}, "
-                f"not {idx} to {idx + 1}"
-            )
-        try:
-            alpha, beta = solve_coefficients(
-                replay, t.failed, t.helpers, t.draw.alpha1, t.draw.beta1
-            )
-            v_new = combine_replacement(replay, t.helpers, alpha, beta, t.draw.rho)
-        except MdsRepairError as e:
-            raise StateFileError(f"{what} does not replay: {e}") from None
-        if (t.alpha, t.beta) != (alpha, beta) or t.v_new != v_new:
-            raise StateFileError(f"{what} does not match the draw it records")
-        replay = replay.repaired(t.failed, v_new)
-        history.append(t)
-    if epoch != len(history):
-        raise StateFileError(
-            f"epoch {epoch} does not match history length {len(history)}"
-        )
-    for pos, (got, want) in enumerate(zip(all_columns(state), all_columns(replay))):
-        if got != want:
-            raise StateFileError(
-                f"{column_label(state, pos)} does not match the replayed history"
-            )
+                f"history[{idx}] does not replay: {type(e).__name__}: {e}"
+            ) from None
+        after = state.repaired(failed, v_new)
+        history.append(RepairTranscript(
+            failed, helpers, draw, alpha, beta, v_new, retries, state.epoch, after.epoch
+        ))
+        state = after
+
+    problem = _mismatch(doc, _state_doc(state, history))
+    if problem is not None:
+        raise StateFileError(problem)
     violation = find_mds_violation(state)
     if violation is not None:
         labels = ", ".join(column_label(state, p) for p in violation)
         raise StateFileError(f"stored columns are not MDS: [{labels}] rank-deficient")
     return state, history
+
+
+def _load_file(path: str):
+    try:
+        return load_state_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise StateFileError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _write_state(path: str, state: CodeState, history) -> None:
@@ -267,24 +240,21 @@ def _write_state(path: str, state: CodeState, history) -> None:
 
 
 def _cmd_gen(args) -> int:
-    m, poly = FIELDS[args.field]
-    field = GF(m, poly)
-    state = init_systematic(args.n, args.k, field)
+    state = init_systematic(args.n, args.k, GF(FIELDS[args.field]))
     _write_state(args.out, state, [])
     print(f"wrote n={args.n} k={args.k} field={args.field} epoch=0 -> {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    text = Path(args.path).read_text()
     try:
-        state, history = load_state_text(text)
+        state, history = _load_file(args.path)
     except StateFileError as e:
         print(f"FAIL: {e}")
         return 1
     total = math.comb(2 * state.n, 2 * state.k)
     print(
-        f"n={state.n} k={state.k} field={field_name(state.field)} "
+        f"n={state.n} k={state.k} field={NAMES[state.field.m]} "
         f"epoch={state.epoch} history={len(history)}"
     )
     print("systematic columns: ok")
@@ -302,7 +272,7 @@ def _parse_helpers(text):
 
 
 def _cmd_repair(args) -> int:
-    state, history = load_state_text(Path(args.path).read_text())
+    state, history = _load_file(args.path)
     helpers = _parse_helpers(args.helpers)
     if helpers is None:
         helpers = default_helpers(state, args.failed)
@@ -322,8 +292,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    m, poly = FIELDS[args.field]
-    field = GF(m, poly)
+    field = GF(FIELDS[args.field])
     rng = random.Random(args.seed)
     if args.input is not None:
         data = Path(args.input).read_bytes()

@@ -49,10 +49,6 @@ class BadHelpers(MdsRepairError, ValueError):
     """Helper set is malformed (wrong size, duplicates, includes failed)."""
 
 
-class TooFewSurvivors(MdsRepairError, ValueError):
-    """Not enough surviving nodes to run a repair."""
-
-
 class TooFewNodes(MdsRepairError, ValueError):
     """Not enough nodes supplied to extract data."""
 

@@ -5,8 +5,8 @@ Field elements are plain ints in [0, 2^m).  Addition is XOR (characteristic
 precomputed exponent/logarithm tables for the generator x, so each product
 costs two lookups and one add.
 
-Only m = 8 and m = 16 are supported; they are the symbol widths the codes
-in this package are built over.
+Only m = 8 and m = 16 are supported, each with one reduction polynomial
+(DEFAULT_POLY); they are the symbol widths the codes here are built over.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ DEFAULT_POLY = {
 
 
 class GF:
-    """GF(2^m) with tables built once at construction.
+    """GF(2^m) reduced by DEFAULT_POLY[m], with tables built once.
 
-    Construction validates that the reduction polynomial is primitive by
-    checking that x generates all 2^m - 1 nonzero elements; a bad
-    polynomial fails fast instead of yielding a corrupt table.
+    Construction checks that the polynomial is primitive, i.e. that x
+    generates all 2^m - 1 nonzero elements, so a bad constant fails fast
+    instead of yielding a corrupt table.
 
     The table attributes are immutable after construction and safe to
     share across threads.  ``exp`` is doubled in length so callers may
@@ -36,11 +36,10 @@ class GF:
 
     __slots__ = ("m", "order", "poly", "exp", "log")
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if m not in DEFAULT_POLY:
             raise BadPolynomial(f"unsupported field width m={m}; expected 8 or 16")
-        if poly is None:
-            poly = DEFAULT_POLY[m]
+        poly = DEFAULT_POLY[m]
         order = 1 << m
         if poly >> m != 1:
             raise BadPolynomial(
@@ -70,9 +69,6 @@ class GF:
         self.exp = exp + exp  # doubled: exp[i] == exp[i + order - 1]
         self.log = log
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -88,10 +84,10 @@ class GF:
         return rng.randrange(self.order)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GF) and (self.m, self.poly) == (other.m, other.poly)
+        return isinstance(other, GF) and self.m == other.m
 
     def __hash__(self) -> int:
-        return hash((self.m, self.poly))
+        return hash(self.m)
 
     def __repr__(self) -> str:
         return f"GF(2^{self.m}, poly=0x{self.poly:x})"

@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     TooFewNodes,
-    TooFewSurvivors,
 )
 from .field import GF
 from .repair import (
@@ -40,7 +39,6 @@ from .repair import (
     default_helpers,
     rebuild_symbols,
     repair,
-    validate_helpers,
 )
 
 Stripe = tuple[int, ...]
@@ -148,21 +146,15 @@ def fail_and_repair(
     changes only after the whole replay has succeeded.
     """
     state = cluster.state
-    if state.n - 1 < state.k + 1:
-        raise TooFewSurvivors(
-            f"repair needs k+1={state.k + 1} survivors, only {state.n - 1} left"
-        )
     if helpers is None:
         helpers = default_helpers(state, failed)
-    else:
-        helpers = validate_helpers(state, failed, helpers)
 
     new_state, transcript = repair(state, failed, helpers, rng)
 
     rebuilt = []  # from the helpers' downloads only
     downloaded = 0
     for s in range(len(cluster.stripes)):
-        contents = [cluster.node_store[h][s] for h in helpers]
+        contents = [cluster.node_store[h][s] for h in transcript.helpers]
         downloaded += len(contents)
         sym_u, sym_v = rebuild_symbols(new_state, contents, transcript)
         rebuilt.append(NodeContent(node=failed, sym_u=sym_u, sym_v=sym_v))
@@ -294,8 +286,10 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     so the same position can churn repeatedly); helpers default to the
     lowest-numbered survivors.  After every round the exhaustive MDS scan,
     the systematic read-back, and one spot decode must pass, otherwise
-    InvariantViolation is raised.
+    InvariantViolation is raised.  A negative ``rounds`` raises BadShape.
     """
+    if rounds < 0:
+        raise BadShape(f"rounds must be >= 0, got {rounds}")
     state0_u = cluster.state.u_cols
     epoch0 = cluster.state.epoch
     first_record = len(cluster.ledger.records)

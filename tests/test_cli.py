@@ -2,6 +2,7 @@ import json
 import os
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,13 @@ def test_loader_rejects_malformed_files():
         load_state_text(json.dumps({"version": "999"}))
     with pytest.raises(StateFileError):
         load_state_text(json.dumps({"version": "1", "field": {"m": 8}}))
+    with pytest.raises(StateFileError):  # int() of a float infinity overflows
+        load_state_text(
+            '{"version": "1", "field": {"m": 8, "reduction_poly": "0x11d"},'
+            ' "n": Infinity, "k": 2}'
+        )
+    with pytest.raises(StateFileError):  # past Python's int-parsing digit limit
+        load_state_text('{"version": "1", "n": ' + "9" * 5000 + "}")
 
 
 def test_loader_rejects_epoch_history_mismatch(tmp_path, capsys):
@@ -202,11 +210,18 @@ def tamper(doc, what):
         doc["v"][t["failed"] - 1] = doc["v"][t["failed"] % 4]
     elif what == "failed":
         t["failed"] = 9
+    elif what == "float_retries":
+        t["retries"] = float(t["retries"])  # == the int, but not canonical
+    elif what == "bool_epoch":
+        doc["epoch"] = True  # == 1, but not canonical
 
 
 @pytest.mark.parametrize(
     "what",
-    ["helpers", "epoch_before", "epoch_after", "alpha", "v_prime", "rho", "stored_v", "failed"],
+    [
+        "helpers", "epoch_before", "epoch_after", "alpha", "v_prime", "rho", "stored_v",
+        "failed", "float_retries", "bool_epoch",
+    ],
 )
 def test_loader_replays_history(tmp_path, capsys, what):
     path = gen_state(tmp_path, capsys)
@@ -258,12 +273,127 @@ def test_loader_rejects_out_of_field_and_ragged_symbols(tmp_path, capsys):
         load_state_text(json.dumps(doc))
 
 
-def test_loader_rejects_bad_reduction_poly(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "0x11b",  # irreducible but x has order 51: not primitive
+        "0x101",  # (x+1)^8: reducible
+        "0x1d",  # degree too small
+    ],
+)
+def test_loader_rejects_bad_reduction_poly(tmp_path, capsys, poly):
     path = gen_state(tmp_path, capsys)
     doc = json.loads(path.read_text())
-    doc["field"]["reduction_poly"] = "0x11b"  # not primitive
-    with pytest.raises(StateFileError):
+    doc["field"]["reduction_poly"] = poly
+    with pytest.raises(StateFileError, match="field"):
         load_state_text(json.dumps(doc))
+
+
+def test_loader_rejects_extra_key(tmp_path, capsys):
+    doc = json.loads(gen_state(tmp_path, capsys).read_text())
+    doc["note"] = "hello"
+    with pytest.raises(StateFileError, match="note"):
+        load_state_text(json.dumps(doc))
+
+
+def test_loader_rejects_missing_history(tmp_path, capsys):
+    doc = json.loads(gen_state(tmp_path, capsys).read_text())
+    assert doc["epoch"] == 0
+    del doc["history"]
+    with pytest.raises(StateFileError, match="history"):
+        load_state_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "side, recode",
+    [("v", str.upper), ("u", lambda sym: sym[1:] if sym[0] == "0" else sym)],
+    ids=["uppercase", "unpadded"],
+)
+def test_loader_rejects_non_canonical_hex(tmp_path, capsys, side, recode):
+    doc = json.loads(gen_state(tmp_path, capsys).read_text())
+    c, i = next(
+        (c, i)
+        for c, col in enumerate(doc[side])
+        for i, sym in enumerate(col)
+        if recode(sym) != sym
+    )
+    doc[side][c][i] = recode(doc[side][c][i])  # same value, other spelling
+    with pytest.raises(StateFileError, match=f"{side}{c + 1} "):
+        load_state_text(json.dumps(doc))
+
+
+DATA = Path(__file__).parent / "data"
+
+# file -> (gen flags, repair flags in order, verify output)
+GOLDEN = {
+    "state_4_2_gf256.json": (
+        ["--n", "4", "--k", "2", "--field", "gf256"],
+        [
+            ["--failed", "4", "--seed", "3"],
+            ["--failed", "1", "--seed", "5"],
+            ["--failed", "2", "--helpers", "1,3,4", "--seed", "4"],
+        ],
+        "n=4 k=2 field=gf256 epoch=3 history=3\n"
+        "systematic columns: ok\n"
+        "mds: 70/70 subsets full rank\n",
+    ),
+    "state_6_3_gf65536.json": (
+        ["--n", "6", "--k", "3"],
+        [
+            ["--failed", "6", "--seed", "1"],
+            ["--failed", "2", "--helpers", "1,3,4,5", "--seed", "2"],
+        ],
+        "n=6 k=3 field=gf65536 epoch=2 history=2\n"
+        "systematic columns: ok\n"
+        "mds: 924/924 subsets full rank\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_state_files(tmp_path, capsys, name):
+    gen_flags, repairs, verified = GOLDEN[name]
+    golden = DATA / name
+    text = golden.read_text()
+    assert dump_state_text(*load_state_text(text)) == text
+    path = tmp_path / name
+    assert run(capsys, "gen", *gen_flags, "--out", str(path))[0] == 0
+    for flags in repairs:
+        assert run(capsys, "repair", str(path), *flags)[0] == 0
+    assert path.read_bytes() == golden.read_bytes()
+    assert run(capsys, "verify", str(golden)) == (0, verified, "")
+
+
+def test_verify_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.startswith("FAIL: ") and out.count("\n") == 1
+
+
+def test_repair_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "repair", str(path), "--failed", "1", "--seed", "1")
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert path.read_bytes() == b"\xff\xfe"
+
+
+def test_tiny_shape_repair_is_usage_error(tmp_path, capsys):
+    path = gen_state(tmp_path, capsys, n=2, k=1)
+    before = path.read_bytes()
+    code, _, err = run(capsys, "repair", str(path), "--failed", "1", "--seed", "1")
+    assert code == 2
+    assert "k+2" in err
+    assert path.read_bytes() == before
+    code, out, err = run(
+        capsys,
+        "simulate", "--n", "2", "--k", "1", "--field", "gf256", "--rounds", "1",
+    )
+    assert code == 2
+    assert out == "" and "k+2" in err
 
 
 def test_simulate_zero_rounds(tmp_path, capsys):
@@ -274,6 +404,16 @@ def test_simulate_zero_rounds(tmp_path, capsys):
     assert code == 0
     assert "rounds: 0" in out
     assert "downloaded_symbols: 0" in out
+
+
+def test_simulate_negative_rounds_is_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate", "--n", "4", "--k", "2", "--rounds", "-3", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "-3" in err
 
 
 def test_simulate_report_and_determinism(tmp_path, capsys):

@@ -9,13 +9,6 @@ from mdsrepair.field import GF
 from oracles import brute_inverse, clmul_reduce
 
 
-def test_add_is_xor_and_self_inverse(gf256):
-    assert gf256.add(0x53, 0xCA) == 0x99
-    for a in range(256):
-        assert gf256.add(a, a) == 0
-        assert gf256.add(a, 0) == a
-
-
 def test_mul_identity_and_frozen_products(gf256):
     # 0x03 * 0x07 stays below degree 8: no reduction kicks in.
     assert gf256.mul(0x03, 0x07) == 0x09
@@ -58,7 +51,7 @@ def test_mul_matches_carryless_oracle_sampled_m16(gf65536):
 def test_field_axioms_exhaustive_pairs_m8(gf256):
     for a in range(256):
         for b in range(256):
-            assert gf256.add(a, b) == gf256.add(b, a)
+            assert a ^ b == b ^ a
             assert gf256.mul(a, b) == gf256.mul(b, a)
 
 
@@ -70,9 +63,9 @@ def test_field_axioms_sampled_triples(m, gf256, gf65536):
         a = rng.randrange(gf.order)
         b = rng.randrange(gf.order)
         c = rng.randrange(gf.order)
-        assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
+        assert (a ^ b) ^ c == a ^ (b ^ c)
         assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
 
 
 def test_random_element_deterministic_per_seed(gf65536):
@@ -98,17 +91,14 @@ def test_random_element_uniform_m8(gf256):
 
 
 def test_bad_polynomials_rejected():
-    with pytest.raises(BadPolynomial):
-        GF(8, 0x11B)  # irreducible but x has order 51: not primitive
-    with pytest.raises(BadPolynomial):
-        GF(8, 0x101)  # (x+1)^8: reducible
-    with pytest.raises(BadPolynomial):
-        GF(8, 0x1D)  # degree too small
+    # Each width has one polynomial; foreign ones are rejected by the
+    # state-file loader (test_cli::test_loader_rejects_bad_reduction_poly).
     with pytest.raises(BadPolynomial):
         GF(12)  # unsupported width
 
 
 def test_field_equality_and_repr():
-    assert GF(8) == GF(8, 0x11D)
+    assert GF(8) == GF(8) and hash(GF(8)) == hash(GF(8))
+    assert GF(8).poly == 0x11D and GF(16).poly == 0x1100B
     assert GF(8) != GF(16)
     assert "0x11d" in repr(GF(8))

@@ -11,7 +11,7 @@ from mdsrepair.errors import (
     DimensionMismatch,
     MdsRepairError,
     TooFewNodes,
-    TooFewSurvivors,
+    UnsupportedShape,
 )
 from mdsrepair.field import GF
 from mdsrepair.sim import (
@@ -178,8 +178,9 @@ def test_8_4_gf65536_repairs_keep_mds_and_decode(gf65536):
 
 def test_fail_and_repair_too_few_survivors():
     cluster = ingest(b"\x01\x02", 2, 1, GF256)
-    with pytest.raises(TooFewSurvivors):
+    with pytest.raises(UnsupportedShape):
         fail_and_repair(cluster, 1, random.Random(0))
+    assert cluster.state.epoch == 0 and not cluster.ledger.records
 
 
 def test_campaign_totals_and_invariants():
@@ -212,6 +213,13 @@ def test_campaign_zero_rounds():
     assert report.mean_retries == 0
     assert report.ratio == Fraction(3, 4)
     assert "downloaded_symbols: 0" in report.to_text()
+
+
+def test_campaign_rejects_negative_rounds():
+    cluster = ingest(b"hi", 4, 2, GF256)
+    with pytest.raises(BadShape):
+        campaign(cluster, -3, random.Random(1))
+    assert cluster.state.epoch == 0
 
 
 def test_campaign_ratio_for_k3(gf65536):
