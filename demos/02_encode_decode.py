@@ -34,24 +34,25 @@ def main():
     print()
 
     stripe = (0xDE, 0xAD, 0xBE, 0xEF)
-    contents = encode(state, stripe)
+    symbols = encode(state, stripe)  # (x.u1, x.v1, ..., x.u4, x.v4)
     print(f"stripe  = {[f'{v:02x}' for v in stripe]}")
-    for c in contents:
-        print(f"  node {c.node} stores (sym_u=0x{c.sym_u:02x}, sym_v=0x{c.sym_v:02x})")
+    for node in range(1, 5):
+        sym_u, sym_v = symbols[2 * node - 2 : 2 * node]
+        print(f"  node {node} stores (sym_u=0x{sym_u:02x}, sym_v=0x{sym_v:02x})")
     print()
 
     print("decode from every pair of nodes:")
-    for subset in combinations(range(4), 2):
-        got = decode(state, [contents[i] for i in subset])
-        names = " and ".join(str(i + 1) for i in subset)
+    for nodes in combinations(range(1, 5), 2):
+        picked = [s for node in nodes for s in symbols[2 * node - 2 : 2 * node]]
+        got = decode(state, nodes, picked)
+        names = " and ".join(map(str, nodes))
         print(f"  nodes {names}: {[f'{v:02x}' for v in got]}  "
               f"{'ok' if got == stripe else 'MISMATCH'}")
     print()
 
-    direct = read_systematic(state, contents)
+    direct = read_systematic(state, symbols[0::2])  # u symbols of nodes 1..4
     print(f"systematic read (no arithmetic at all): "
           f"{[f'{v:02x}' for v in direct]}  {'ok' if direct == stripe else 'MISMATCH'}")
-
 
 if __name__ == "__main__":
     main()

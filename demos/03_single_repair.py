@@ -44,8 +44,9 @@ def main():
     print()
 
     stripe = tuple(gf.random_element(rng) for _ in range(4))
-    helper_contents = [encode(state, stripe)[h - 1] for h in helpers]
-    sym_u, sym_v = rebuild_symbols(new_state, helper_contents, t)
+    symbols = encode(state, stripe)  # (x.u1, x.v1, ..., x.u4, x.v4)
+    helper_symbols = [s for h in helpers for s in symbols[2 * h - 2 : 2 * h]]
+    sym_u, sym_v = rebuild_symbols(new_state, helper_symbols, t)
     print(f"stripe-level replay with x = {[f'{v:04x}' for v in stripe]}:")
     print(f"  rebuilt sym_u = 0x{sym_u:04x}, "
           f"expected x.u4 = 0x{dot(gf, new_state.u_cols[3], stripe):04x}")

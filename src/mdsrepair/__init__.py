@@ -17,7 +17,6 @@ from .bounds import (
 )
 from .code import (
     CodeState,
-    NodeContent,
     all_columns,
     column_label,
     decode,
@@ -38,7 +37,6 @@ from .repair import (
     repair,
     retained_columns,
     solve_coefficients,
-    subset_witness,
 )
 from .sim import (
     BandwidthLedger,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "CodeState",
-    "NodeContent",
     "RepairDraw",
     "RepairTranscript",
     "RepairPlan",
@@ -89,5 +86,4 @@ __all__ = [
     "repair",
     "retained_columns",
     "solve_coefficients",
-    "subset_witness",
 ]

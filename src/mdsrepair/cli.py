@@ -69,6 +69,8 @@ NAMES = {m: name for name, m in FIELDS.items()}
 
 USAGE_ERRORS = (BadShape, FieldTooSmall, BadHelpers)
 
+D0_DIGITS = 4300  # Python's default limit on int-to-str conversion
+
 
 # ---------------------------------------------------------------------------
 # state file format
@@ -310,15 +312,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _printable_d0(n: int, k: int) -> int:
+    """degree_bound(n, k), or BadShape when it has over D0_DIGITS digits.
+
+    The digit count is estimated with lgamma first, so a d0 far past the
+    limit is never computed; one near it is checked exactly.
+    """
+    too_long = BadShape(
+        f"d0 = 2*C(2n-1, 2k-1) for n={n}, k={k} has more than {D0_DIGITS} digits"
+    )
+    if 1 <= k and 2 * k <= n:  # a bad shape is named by degree_bound
+        ln_comb = math.lgamma(2 * n) - math.lgamma(2 * k) - math.lgamma(2 * n - 2 * k + 1)
+        if math.log10(2) + ln_comb / math.log(10) > D0_DIGITS + 1:
+            raise too_long
+    d0 = degree_bound(n, k)
+    if d0 >= 10**D0_DIGITS:
+        raise too_long
+    return d0
+
+
 def _cmd_bound(args) -> int:
     if args.B is None and args.n is None:
         raise BadShape("bound needs --B with --d, or --n, or both")
     if (args.B is None) != (args.d is None):
         raise BadShape("--B and --d must be given together")
+    lines = []
     if args.B is not None:
-        print(cut_bound(args.B, args.k, args.d))
+        lines.append(str(cut_bound(args.B, args.k, args.d)))
     if args.n is not None:
-        print(f"d0 = {degree_bound(args.n, args.k)}")
+        lines.append(f"d0 = {_printable_d0(args.n, args.k)}")
+    print("\n".join(lines))
     return 0
 
 

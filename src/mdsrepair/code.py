@@ -1,7 +1,12 @@
 """Code state: 2n vectors {u_i, v_i} in F^(2k) across n storage nodes.
 
 Node i stores two symbols per stripe x: x.u_i and x.v_i (dot products over
-the field).  The u columns are pinned forever; the v columns evolve as
+the field).  The per-stripe calls take and return plain symbols: ``encode``
+gives (x.u_1, x.v_1, ..., x.u_n, x.v_n), ``decode`` takes each chosen
+node's u symbol then its v symbol, and ``read_systematic`` takes the u
+symbols of nodes 1..2k.
+
+The u columns are pinned forever; the v columns evolve as
 repairs happen.  The maintained invariant is that the 2n columns of
 [U | V] form a (2n, 2k)-MDS code -- every 2k-subset has full rank 2k --
 which implies the n nodes form an (n, k)-MDS code, and additionally
@@ -15,16 +20,12 @@ Columns are 0-indexed internally; node ids in the public API are 1-based
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from . import matrix
 from .bounds import degree_bound
-from .errors import (
-    BadShape,
-    DimensionMismatch,
-    FieldTooSmall,
-    MissingNode,
-)
+from .errors import BadShape, DimensionMismatch, FieldTooSmall
 from .field import GF
 
 Column = tuple[int, ...]
@@ -62,14 +63,19 @@ class CodeState:
         v_cols[node - 1] = v_new
         return replace(self, v_cols=tuple(v_cols), epoch=self.epoch + 1)
 
+    @cached_property
+    def encode_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each column's nonzero entries as (row, log entry) pairs.
 
-@dataclass(frozen=True, slots=True)
-class NodeContent:
-    """What one node stores for one stripe."""
-
-    node: int
-    sym_u: int
-    sym_v: int
+        Columns come in the order u_1, v_1, ..., u_n, v_n, the order of
+        ``encode``'s output.  Computed once per state.
+        """
+        log = self.field.log
+        return tuple(
+            tuple((r, log[e]) for r, e in enumerate(col) if e)
+            for pair in zip(self.u_cols, self.v_cols)
+            for col in pair
+        )
 
 
 def dot(gf: GF, a, b) -> int:
@@ -100,14 +106,17 @@ def init_systematic(n: int, k: int, field: GF) -> CodeState:
         raise BadShape(f"k must be >= 1, got {k}")
     if 2 * k > n:
         raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
-    d0 = degree_bound(n, k)
-    if field.order <= d0:
-        raise FieldTooSmall(
-            f"|F|={field.order} <= d0={d0} for (n={n}, k={k}); use a larger field"
-        )
+    # 2n <= |F| <= 2^16 bounds n before the exact binomial is computed
     if 2 * n > field.order:
         raise FieldTooSmall(
             f"need 2n={2 * n} distinct field points, field has {field.order}"
+        )
+    d0 = degree_bound(n, k)
+    if field.order <= d0:
+        value = f" = {d0}" if d0 < 2**64 else ""  # no str() of a huge int
+        raise FieldTooSmall(
+            f"|F|={field.order} <= d0 = 2*C(2n-1, 2k-1){value} for (n={n}, k={k}); "
+            f"use a larger field"
         )
 
     dim = 2 * k
@@ -157,59 +166,55 @@ def find_mds_violation(state: CodeState) -> tuple[int, ...] | None:
     return first_singular(state.field, all_columns(state), state.dim)
 
 
-def encode(state: CodeState, stripe) -> list[NodeContent]:
-    """Store one stripe of 2k information symbols on all n nodes."""
+def encode(state: CodeState, stripe) -> list[int]:
+    """The 2n symbols (x.u_1, x.v_1, ..., x.u_n, x.v_n) of one stripe x."""
     if len(stripe) != state.dim:
         raise DimensionMismatch(
             f"stripe must have 2k={state.dim} symbols, got {len(stripe)}"
         )
-    gf = state.field
-    return [
-        NodeContent(
-            node=i + 1,
-            sym_u=dot(gf, state.u_cols[i], stripe),
-            sym_v=dot(gf, state.v_cols[i], stripe),
-        )
-        for i in range(state.n)
-    ]
+    exp, log = state.field.exp, state.field.log
+    lx = [log[x] for x in stripe]  # -1 marks a zero symbol
+    out = []
+    for terms in state.encode_terms:
+        acc = 0
+        for r, lc in terms:
+            lr = lx[r]
+            if lr >= 0:
+                acc ^= exp[lc + lr]
+        out.append(acc)
+    return out
 
 
-def decode(state: CodeState, contents) -> Column:
-    """Recover a stripe from any k distinct nodes' contents.
+def decode(state: CodeState, nodes, symbols) -> Column:
+    """Recover a stripe from any k distinct nodes' symbols.
 
-    Each node contributes two linear equations (its u and v dot products),
-    giving a 2k x 2k system that is invertible whenever the MDS invariant
-    holds; a Singular error here means the invariant itself is broken.
+    ``symbols`` holds each node's u symbol then its v symbol, in the order
+    of ``nodes``.  The 2k equations form a system that is invertible
+    whenever the MDS invariant holds; a Singular error here means the
+    invariant itself is broken.
     """
-    if len(contents) != state.k:
+    if len(nodes) != state.k:
         raise DimensionMismatch(
-            f"decode needs exactly k={state.k} nodes, got {len(contents)}"
+            f"decode needs exactly k={state.k} nodes, got {len(nodes)}"
         )
-    nodes = [c.node for c in contents]
     if len(set(nodes)) != len(nodes):
         raise DimensionMismatch(f"duplicate node ids in {nodes}")
-    rows = []
-    rhs = []
-    for c in contents:
-        u, v = state.node_columns(c.node)
-        rows.append(u)
-        rhs.append(c.sym_u)
-        rows.append(v)
-        rhs.append(c.sym_v)
-    return tuple(matrix.solve(state.field, rows, rhs))
+    if len(symbols) != state.dim:
+        raise DimensionMismatch(
+            f"decode needs 2k={state.dim} symbols, got {len(symbols)}"
+        )
+    rows = [col for node in nodes for col in state.node_columns(node)]
+    return tuple(matrix.solve(state.field, rows, symbols))
 
 
-def read_systematic(state: CodeState, contents) -> Column:
-    """Read the stripe straight off nodes 1..2k, no field arithmetic.
+def read_systematic(state: CodeState, symbols) -> Column:
+    """Read the stripe straight off the u symbols of nodes 1..2k.
 
     u_i = e_i for i <= 2k at every epoch, so node i's u symbol *is* the
-    i-th information symbol.  Extra nodes in ``contents`` are ignored.
+    i-th information symbol: no field arithmetic.
     """
-    by_node = {c.node: c for c in contents}
-    out = []
-    for node in range(1, state.dim + 1):
-        c = by_node.get(node)
-        if c is None:
-            raise MissingNode(f"systematic read needs node {node}")
-        out.append(c.sym_u)
-    return tuple(out)
+    if len(symbols) != state.dim:
+        raise DimensionMismatch(
+            f"systematic read needs 2k={state.dim} symbols, got {len(symbols)}"
+        )
+    return tuple(symbols)

@@ -41,10 +41,6 @@ class FieldTooSmall(MdsRepairError, ValueError):
     """Field order is insufficient for the requested code shape."""
 
 
-class MissingNode(MdsRepairError, ValueError):
-    """A required node's content was not supplied."""
-
-
 class BadHelpers(MdsRepairError, ValueError):
     """Helper set is malformed (wrong size, duplicates, includes failed)."""
 

@@ -100,61 +100,28 @@ def default_helpers(state: CodeState, failed: int) -> tuple[int, ...]:
     return validate_helpers(state, failed, picks)
 
 
-def _helper_columns(state: CodeState, helpers) -> list[Column]:
-    """Columns of A: u and v of each helper, interleaved in helper order."""
-    cols = []
-    for h in helpers:
-        u, v = state.node_columns(h)
-        cols.append(u)
-        cols.append(v)
-    return cols
-
-
-def _solve_fixed_pair(
-    state: CodeState,
-    failed: int,
-    helpers,
-    fixed: tuple[int, int],
-    values: tuple[int, int],
-) -> list[int]:
-    """Full coefficient vector eta with two entries pinned.
-
-    fixed holds two 0-based positions into eta; values their prescribed
-    entries.  The remaining 2k entries are the unique solution of the
-    reduced square system, which is invertible whenever the MDS invariant
-    holds -- Singular here signals a corrupted state, not bad input.
-    """
-    gf = state.field
-    a_cols = _helper_columns(state, helpers)
-    i, j = fixed
-    vi, vj = values
-    target = state.u_cols[failed - 1]
-    rhs = [
-        t ^ gf.mul(vi, a_cols[i][r]) ^ gf.mul(vj, a_cols[j][r])
-        for r, t in enumerate(target)
-    ]
-    kept = [c for c in range(len(a_cols)) if c != i and c != j]
-    rows = [[a_cols[c][r] for c in kept] for r in range(state.dim)]
-    rest = matrix.solve(gf, rows, rhs)
-    eta = [0] * len(a_cols)
-    eta[i] = vi
-    eta[j] = vj
-    for pos, val in zip(kept, rest):
-        eta[pos] = val
-    return eta
-
-
 def solve_coefficients(
     state: CodeState, failed: int, helpers, alpha1: int, beta1: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-helper download coefficients with (alpha1, beta1) free.
 
     Returns (alpha, beta), each of length k+1 aligned with helpers; the
-    blends they define sum to the failed node's u column exactly.
+    blends they define sum to the failed node's u column exactly.  The
+    other 2k coefficients are the unique solution of the square system on
+    the columns of helpers 2..k+1, which is invertible whenever the MDS
+    invariant holds -- Singular here signals a corrupted state, not bad
+    input.
     """
     helpers = validate_helpers(state, failed, helpers)
-    eta = _solve_fixed_pair(state, failed, helpers, (0, 1), (alpha1, beta1))
-    return tuple(eta[0::2]), tuple(eta[1::2])
+    gf = state.field
+    (u1, v1), *others = [state.node_columns(h) for h in helpers]
+    rhs = [
+        t ^ gf.mul(alpha1, a) ^ gf.mul(beta1, b)
+        for t, a, b in zip(state.u_cols[failed - 1], u1, v1)
+    ]
+    cols = [col for pair in others for col in pair]
+    rest = matrix.solve(gf, list(zip(*cols)), rhs)
+    return (alpha1, *rest[0::2]), (beta1, *rest[1::2])
 
 
 def combine_replacement(state: CodeState, helpers, alpha, beta, rho) -> Column:
@@ -259,58 +226,19 @@ def repair(
             )
 
 
-def subset_witness(state: CodeState, failed: int, helpers, subset) -> RepairDraw:
-    """A draw guaranteed to clear one given (2k-1)-subset.
-
-    Constructive existence argument used as a test oracle: the 2k-1
-    retained columns in ``subset`` cannot cover all 2k+2 helper columns,
-    so some helper has its u or v outside the subset.  Prescribing that
-    helper's blend to be exactly that column (beta=1,alpha=0 for v;
-    alpha=1,beta=0 for u), mapping the prescription back to the free
-    (alpha1, beta1) pair, and putting the whole rho weight on that helper
-    makes the replacement column equal the outside column, whose
-    determinant against the subset is nonzero because the pre-repair code
-    was MDS.  The witness targets this subset only; it generally fails the
-    full acceptance scan.
-    """
-    helpers = validate_helpers(state, failed, helpers)
-    picked = set(subset)
-    pos_u = {h: h - 1 for h in helpers}
-    v_ids = [i + 1 for i in range(state.n) if i + 1 != failed]
-    pos_v = {node: state.n + idx for idx, node in enumerate(v_ids)}
-    for t, h in enumerate(helpers):
-        if pos_v[h] not in picked:
-            pinned = (0, 1)  # replacement becomes v_h
-        elif pos_u[h] not in picked:
-            pinned = (1, 0)  # replacement becomes u_h
-        else:
-            continue
-        eta = _solve_fixed_pair(state, failed, helpers, (2 * t, 2 * t + 1), pinned)
-        rho = tuple(1 if i == t else 0 for i in range(state.k + 1))
-        return RepairDraw(alpha1=eta[0], beta1=eta[1], rho=rho)
-    raise InvariantViolation(
-        "no helper column outside the subset; counting argument violated"
-    )
-
-
-def rebuild_symbols(state, contents, transcript: RepairTranscript) -> tuple[int, int]:
+def rebuild_symbols(state, symbols, transcript: RepairTranscript) -> tuple[int, int]:
     """Replay one stripe's downloads and rebuild the failed node's symbols.
 
-    ``contents`` holds the helpers' NodeContent for the stripe, in
-    transcript helper order.  Each helper ships the single blended symbol
-    d_i = alpha_i*sym_u + beta_i*sym_v; the replacement node stores
-    (sum d_i, sum rho_i d_i), which equal the stripe's dot products with
-    the failed node's u column and new v column.
+    ``symbols`` holds each helper's (u, v) symbol pair for the stripe,
+    flattened, in transcript helper order.  Each helper ships the single
+    blended symbol d_i = alpha_i*sym_u + beta_i*sym_v; the replacement node
+    stores (sum d_i, sum rho_i d_i), which equal the stripe's dot products
+    with the failed node's u column and new v column.
     """
-    if len(contents) != len(transcript.helpers):
+    if len(symbols) != 2 * len(transcript.helpers):
         raise DimensionMismatch(
-            f"expected {len(transcript.helpers)} helper contents, got {len(contents)}"
+            f"expected {2 * len(transcript.helpers)} helper symbols, got {len(symbols)}"
         )
-    for c, h in zip(contents, transcript.helpers):
-        if c.node != h:
-            raise DimensionMismatch(
-                f"contents out of order: got node {c.node}, expected helper {h}"
-            )
     if state.epoch != transcript.epoch_after:
         raise InvariantViolation(
             f"transcript is for epoch {transcript.epoch_after}, state is at "
@@ -318,11 +246,18 @@ def rebuild_symbols(state, contents, transcript: RepairTranscript) -> tuple[int,
         )
     if state.v_cols[transcript.failed - 1] != transcript.v_new:
         raise InvariantViolation("transcript v column does not match state")
-    gf = state.field
+    exp, log = state.field.exp, state.field.log
     sym_u = 0
     sym_v = 0
-    for c, a, b, r in zip(contents, transcript.alpha, transcript.beta, transcript.draw.rho):
-        d = gf.mul(a, c.sym_u) ^ gf.mul(b, c.sym_v)
-        sym_u ^= d
-        sym_v ^= gf.mul(r, d)
+    pairs = iter(symbols)
+    for su, sv, a, b, r in zip(
+        pairs, pairs, transcript.alpha, transcript.beta, transcript.draw.rho
+    ):
+        d = exp[log[a] + log[su]] if a and su else 0
+        if b and sv:
+            d ^= exp[log[b] + log[sv]]
+        if d:
+            sym_u ^= d
+            if r:
+                sym_v ^= exp[log[r] + log[d]]
     return sym_u, sym_v

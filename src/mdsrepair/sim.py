@@ -1,10 +1,13 @@
 """Desk-scale storage simulator: stripe data over n nodes, fail, repair.
 
 Bytes are packed into m-bit symbols (big-endian, m/8 bytes each), grouped
-into stripes of 2k symbols, and every node stores two symbols per stripe.
-A repair runs once at the vector level (one transcript per failure) and is
-then replayed per stripe at symbol granularity, using only surviving
-nodes' stored symbols -- the ledger records exactly what moved.
+into stripes of 2k symbols, and every node stores two symbol planes: its
+u symbols and its v symbols, one of each per stripe.  Each per-stripe
+call (encode, rebuild, decode, systematic read) is fed by zipping the
+planes it needs.  A repair runs once at the vector level (one transcript
+per failure) and is then replayed per stripe at symbol granularity, using
+only surviving nodes' stored symbols -- the ledger records exactly what
+moved.
 
 A Cluster is owned by one logical task; repairs are strictly sequential.
 """
@@ -12,14 +15,16 @@ A Cluster is owned by one logical task; repairs are strictly sequential.
 from __future__ import annotations
 
 import random
+import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .bounds import cut_bound
 from .code import (
     CodeState,
-    NodeContent,
     decode,
     dot,
     encode,
@@ -63,50 +68,43 @@ class BandwidthLedger:
 
 @dataclass
 class Cluster:
-    """One simulated deployment: code state plus per-node symbol stores.
+    """One simulated deployment: code state plus per-node symbol planes.
 
-    node_store[node][s] is what 1-based ``node`` holds for stripe s.  The
-    ``stripes`` list keeps the ingested ground truth so invariant checks
-    can compare against recomputation; extraction never touches it.
+    node_store[node] is 1-based ``node``'s (u plane, v plane), two
+    ``array.array`` (typecode "B" for GF(2^8), "H" for GF(2^16)) whose s-th
+    entries are x_s.u and x_s.v for stripe s.  The ``stripes`` list keeps
+    the ingested ground truth so invariant checks can compare against
+    recomputation; extraction never touches it.
     """
 
     state: CodeState
     stripes: list[Stripe]
-    node_store: dict[int, list[NodeContent]]
+    node_store: dict[int, tuple[array, array]]
     orig_len: int
     ledger: BandwidthLedger = dc_field(default_factory=BandwidthLedger)
     history: list[RepairTranscript] = dc_field(default_factory=list)
 
 
-def _symbol_bytes(field: GF) -> int:
-    return field.m // 8
+def _typecode(field: GF) -> str:
+    return "B" if field.m == 8 else "H"
 
 
 def _pack_stripes(data: bytes, k: int, field: GF) -> list[Stripe]:
-    if not data:
-        return []
-    width = _symbol_bytes(field)
-    stride = 2 * k * width
-    padded = data + b"\x00" * (-len(data) % stride)
-    stripes = []
-    for off in range(0, len(padded), stride):
-        chunk = padded[off : off + stride]
-        stripes.append(
-            tuple(
-                int.from_bytes(chunk[i : i + width], "big")
-                for i in range(0, stride, width)
-            )
-        )
-    return stripes
+    stride = 2 * k * (field.m // 8)
+    padded = data + bytes(-len(data) % stride)
+    if field.m == 8:
+        syms = padded
+    else:
+        syms = struct.unpack(f">{len(padded) // 2}H", padded)
+    return list(zip(*[iter(syms)] * (2 * k)))
 
 
 def _unpack_stripes(stripes, field: GF, orig_len: int) -> bytes:
-    width = _symbol_bytes(field)
-    out = bytearray()
-    for stripe in stripes:
-        for sym in stripe:
-            out += sym.to_bytes(width, "big")
-    return bytes(out[:orig_len])
+    syms = chain.from_iterable(stripes)
+    if field.m == 8:
+        return bytes(syms)[:orig_len]
+    syms = list(syms)
+    return struct.pack(f">{len(syms)}H", *syms)[:orig_len]
 
 
 def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
@@ -118,14 +116,13 @@ def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
     """
     state = init_systematic(n, k, field)
     stripes = _pack_stripes(data, k, field)
-    node_store: dict[int, list[NodeContent]] = {node: [] for node in range(1, n + 1)}
-    for stripe in stripes:
-        for content in encode(state, stripe):
-            node_store[content.node].append(content)
+    # one flat array of the encode outputs, then every 2n-th symbol per plane
+    flat = array(_typecode(field), chain.from_iterable(map(encode, repeat(state), stripes)))
+    planes = [flat[i :: 2 * n] for i in range(2 * n)]
     return Cluster(
         state=state,
         stripes=stripes,
-        node_store=node_store,
+        node_store=dict(enumerate(zip(planes[0::2], planes[1::2]), start=1)),
         orig_len=len(data),
     )
 
@@ -151,13 +148,16 @@ def fail_and_repair(
 
     new_state, transcript = repair(state, failed, helpers, rng)
 
-    rebuilt = []  # from the helpers' downloads only
+    # fresh planes, from the helpers' downloads only
+    typecode = _typecode(state.field)
+    u_plane, v_plane = array(typecode), array(typecode)
     downloaded = 0
-    for s in range(len(cluster.stripes)):
-        contents = [cluster.node_store[h][s] for h in transcript.helpers]
-        downloaded += len(contents)
-        sym_u, sym_v = rebuild_symbols(new_state, contents, transcript)
-        rebuilt.append(NodeContent(node=failed, sym_u=sym_u, sym_v=sym_v))
+    helper_planes = [p for h in transcript.helpers for p in cluster.node_store[h]]
+    for symbols in zip(*helper_planes):
+        downloaded += len(transcript.helpers)
+        sym_u, sym_v = rebuild_symbols(new_state, symbols, transcript)
+        u_plane.append(sym_u)
+        v_plane.append(sym_v)
     n_stripes = len(cluster.stripes)
     record = RepairRecord(
         failed=failed,
@@ -170,7 +170,7 @@ def fail_and_repair(
         retries=transcript.retries,
     )
 
-    cluster.node_store[failed] = rebuilt
+    cluster.node_store[failed] = (u_plane, v_plane)
     cluster.state = new_state
     cluster.history.append(transcript)
     cluster.ledger.records.append(record)
@@ -180,21 +180,16 @@ def fail_and_repair(
 def extract(cluster: Cluster, via) -> bytes:
     """Recover the ingested bytes.
 
-    ``via`` is either an iterable of exactly k node ids (full decode) or
-    the string "systematic" (straight read of nodes 1..2k's u symbols,
-    zero field arithmetic).
+    ``via`` is either an iterable of exactly k distinct node ids (full
+    decode) or the string "systematic" (straight read of nodes 1..2k's u
+    symbols, zero field arithmetic).
     """
     state = cluster.state
     if isinstance(via, str):
         if via != "systematic":
             raise DimensionMismatch(f"unknown extract mode {via!r}")
-        stripes = [
-            read_systematic(
-                state,
-                [cluster.node_store[node][s] for node in range(1, state.dim + 1)],
-            )
-            for s in range(len(cluster.stripes))
-        ]
+        planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
+        stripes = [read_systematic(state, symbols) for symbols in zip(*planes)]
         return _unpack_stripes(stripes, state.field, cluster.orig_len)
     nodes = list(via)
     if len(nodes) < state.k:
@@ -204,28 +199,36 @@ def extract(cluster: Cluster, via) -> bytes:
     for node in nodes:
         if not isinstance(node, int) or not 1 <= node <= state.n:
             raise BadShape(f"node id {node!r} outside 1..{state.n}")
-    stripes = [
-        decode(state, [cluster.node_store[node][s] for node in nodes])
-        for s in range(len(cluster.stripes))
-    ]
+    if len(set(nodes)) != len(nodes):
+        raise DimensionMismatch(f"duplicate node ids in {nodes}")
+    planes = [p for node in nodes for p in cluster.node_store[node]]
+    stripes = [decode(state, nodes, symbols) for symbols in zip(*planes)]
     return _unpack_stripes(stripes, state.field, cluster.orig_len)
 
 
 def check_conservation(cluster: Cluster) -> None:
-    """Stored symbols must equal recomputation from the current state."""
+    """Stored symbols must equal recomputation from the current state.
+
+    An independent scalar check: ``dot`` of every column with every
+    ground-truth stripe, against the planes.
+    """
     state = cluster.state
     gf = state.field
+    count = len(cluster.stripes)
     for node in range(1, state.n + 1):
-        u, v = state.node_columns(node)
-        stored = cluster.node_store[node]
-        if len(stored) != len(cluster.stripes):
-            raise InvariantViolation(f"node {node} store length drifted")
-        for s, stripe in enumerate(cluster.stripes):
-            c = stored[s]
-            if c.sym_u != dot(gf, u, stripe) or c.sym_v != dot(gf, v, stripe):
+        for name, col, plane in zip(
+            "uv", state.node_columns(node), cluster.node_store[node]
+        ):
+            if len(plane) != count:
                 raise InvariantViolation(
-                    f"node {node} stripe {s} drifted from the code state"
+                    f"node {node} {name} plane holds {len(plane)} symbols, "
+                    f"expected {count}"
                 )
+            for s, stripe in enumerate(cluster.stripes):
+                if plane[s] != dot(gf, col, stripe):
+                    raise InvariantViolation(
+                        f"node {node} stripe {s} drifted from the code state"
+                    )
 
 
 @dataclass
@@ -311,12 +314,9 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
 
         if state.u_cols != state0_u:
             raise InvariantViolation(f"epoch {state.epoch}: u columns changed")
-        for s, stripe in enumerate(cluster.stripes):
-            got = read_systematic(
-                state,
-                [cluster.node_store[node][s] for node in range(1, state.dim + 1)],
-            )
-            if got != stripe:
+        planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
+        for s, (stripe, symbols) in enumerate(zip(cluster.stripes, zip(*planes))):
+            if read_systematic(state, symbols) != stripe:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: systematic read of stripe {s} changed"
                 )
@@ -325,7 +325,8 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         if cluster.stripes:
             nodes = sorted(rng.sample(range(1, state.n + 1), state.k))
             s = rng.randrange(len(cluster.stripes))
-            got = decode(state, [cluster.node_store[node][s] for node in nodes])
+            symbols = [p[s] for node in nodes for p in cluster.node_store[node]]
+            got = decode(state, nodes, symbols)
             if got != cluster.stripes[s]:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: decode via {nodes} of stripe {s} wrong"

@@ -22,11 +22,10 @@ from mdsrepair.repair import (
     repair,
     retained_columns,
     solve_coefficients,
-    subset_witness,
 )
 from mdsrepair.sim import campaign, extract, ingest
 
-from oracles import clmul_reduce
+from oracles import clmul_reduce, subset_witness
 
 
 def _passline(text):
@@ -107,8 +106,8 @@ def test_criterion_3_systematic_persistence(campaign_4_2, campaign_6_3):
         assert cluster.state.u_cols == u_epoch0
         dim = cluster.state.dim
         for s, stripe in enumerate(cluster.stripes):
-            contents = [cluster.node_store[node][s] for node in range(1, dim + 1)]
-            assert read_systematic(cluster.state, contents) == stripe
+            symbols = [cluster.node_store[node][0][s] for node in range(1, dim + 1)]
+            assert read_systematic(cluster.state, symbols) == stripe
     _passline("criterion 3: systematic read-back exact, u columns frozen, both shapes")
 
 

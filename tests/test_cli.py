@@ -2,6 +2,9 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,6 +156,16 @@ def test_loader_rejects_malformed_files():
         )
     with pytest.raises(StateFileError):  # past Python's int-parsing digit limit
         load_state_text('{"version": "1", "n": ' + "9" * 5000 + "}")
+
+
+def test_loader_rejects_absurd_shape_fast():
+    # 2n > |F| is checked before the exact binomial, which would stall
+    text = '{"version": "1", "field":{"m":16}, "n":1000000, "k":500000}\n'
+    assert len(text.encode()) == 60
+    start = time.perf_counter()
+    with pytest.raises(StateFileError, match="2n=2000000"):
+        load_state_text(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_loader_rejects_epoch_history_mismatch(tmp_path, capsys):
@@ -486,6 +499,37 @@ def test_bound_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "bound", "--B", "4", "--k", "3", "--d", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "50000", "--n", "100000"),
+    ("--k", "500000", "--n", "1000000"),
+    ("--B", "4", "--d", "50000", "--k", "50000", "--n", "100000"),
+])
+def test_bound_huge_d0_is_usage_error(capsys, argv):
+    # d0 past Python's 4300-digit str() limit: one error line, no stdout
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: d0 = 2*C(2n-1, 2k-1)") and err.count("\n") == 1
+
+
+def test_bound_huge_d0_exits_2_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdsrepair.cli", "bound", "--k", "50000", "--n", "100000"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_bound_prints_d0_up_to_the_digit_limit(capsys):
+    code, out, _ = run(capsys, "bound", "--k", "3572", "--n", "7144")  # 4299 digits
+    assert code == 0 and len(out.strip().removeprefix("d0 = ")) == 4299
+    code, out, _ = run(capsys, "bound", "--k", "3573", "--n", "7146")  # 4301 digits
+    assert code == 2 and out == ""
 
 
 def test_unknown_command_is_usage_error(capsys):

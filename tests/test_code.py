@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdsrepair.code import (
-    NodeContent,
     all_columns,
     column_label,
     decode,
@@ -16,12 +16,7 @@ from mdsrepair.code import (
     init_systematic,
     read_systematic,
 )
-from mdsrepair.errors import (
-    BadShape,
-    DimensionMismatch,
-    FieldTooSmall,
-    MissingNode,
-)
+from mdsrepair.errors import BadShape, DimensionMismatch, FieldTooSmall
 from mdsrepair.field import GF
 
 from oracles import cofactor_det
@@ -69,7 +64,7 @@ def test_init_rejects_bad_shapes():
 
 def test_init_rejects_small_field(gf65536):
     # d0(6,3) = 924 needs |F| > 924
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(FieldTooSmall, match=r"d0 = 2\*C\(2n-1, 2k-1\) = 924 "):
         init_systematic(6, 3, GF256)
     state = init_systematic(6, 3, gf65536)
     assert state.n == 6
@@ -101,83 +96,123 @@ def test_column_labels():
     assert column_label(STATE_4_2, 7) == "v4"
 
 
+def u_symbols(symbols):
+    """The u symbols of nodes 1..n from an encode output."""
+    return symbols[0::2]
+
+
+def node_symbols(symbols, nodes):
+    """Each node's (u, v) symbols, flattened in the order of ``nodes``."""
+    return [symbols[2 * (node - 1) + j] for node in nodes for j in (0, 1)]
+
+
 def test_encode_unit_and_zero_stripes():
     for j in range(4):
         stripe = tuple(1 if i == j else 0 for i in range(4))
-        contents = encode(STATE_4_2, stripe)
-        assert contents[j].sym_u == 1  # systematic column j+1 exposes x_j
-    zero = encode(STATE_4_2, (0, 0, 0, 0))
-    assert all(c.sym_u == 0 and c.sym_v == 0 for c in zero)
+        symbols = encode(STATE_4_2, stripe)
+        assert len(symbols) == 8
+        assert u_symbols(symbols)[j] == 1  # systematic column j+1 exposes x_j
+    assert encode(STATE_4_2, (0, 0, 0, 0)) == [0] * 8
 
 
 def test_encode_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         encode(STATE_4_2, (1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        encode(STATE_4_2, (1, 2, 3, 4, 5))
 
 
 @given(stripes_4)
 def test_encode_matches_dot_oracle(stripe):
-    contents = encode(STATE_4_2, stripe)
-    for i, c in enumerate(contents):
+    symbols = encode(STATE_4_2, stripe)
+    for i in range(4):
         want_u = 0
         want_v = 0
         for r in range(4):
             want_u ^= GF256.mul(STATE_4_2.u_cols[i][r], stripe[r])
             want_v ^= GF256.mul(STATE_4_2.v_cols[i][r], stripe[r])
-        assert (c.sym_u, c.sym_v) == (want_u, want_v)
+        assert (symbols[2 * i], symbols[2 * i + 1]) == (want_u, want_v)
+
+
+def test_encode_terms_leave_equality_alone():
+    state = init_systematic(4, 2, GF256)
+    assert len(state.encode_terms) == 8
+    assert state.encode_terms[0] == ((0, 0),)  # u_1 = e_1, log 1 = 0
+    assert state == STATE_4_2 and hash(state) == hash(STATE_4_2)
+    repaired = state.repaired(1, STATE_4_2.v_cols[1])
+    assert repaired.encode_terms[1] == state.encode_terms[3]  # v_1 := v_2
 
 
 @given(stripes_4)
 def test_decode_every_k_subset(stripe):
-    contents = encode(STATE_4_2, stripe)
-    for subset in combinations(range(4), 2):
-        picked = [contents[i] for i in subset]
-        assert decode(STATE_4_2, picked) == stripe
+    symbols = encode(STATE_4_2, stripe)
+    for nodes in combinations(range(1, 5), 2):
+        assert decode(STATE_4_2, nodes, node_symbols(symbols, nodes)) == stripe
 
 
 def test_decode_from_systematic_pair_by_hand():
     stripe = (7, 11, 13, 17)
-    c1 = NodeContent(node=1, sym_u=stripe[0], sym_v=dot(GF256, STATE_4_2.v_cols[0], stripe))
-    c2 = NodeContent(node=2, sym_u=stripe[1], sym_v=dot(GF256, STATE_4_2.v_cols[1], stripe))
-    assert decode(STATE_4_2, [c1, c2]) == stripe
+    symbols = [
+        stripe[0], dot(GF256, STATE_4_2.v_cols[0], stripe),
+        stripe[1], dot(GF256, STATE_4_2.v_cols[1], stripe),
+    ]
+    assert decode(STATE_4_2, (1, 2), symbols) == stripe
 
 
 def test_decode_validates_inputs():
-    contents = encode(STATE_4_2, (1, 2, 3, 4))
+    symbols = encode(STATE_4_2, (1, 2, 3, 4))
     with pytest.raises(DimensionMismatch):
-        decode(STATE_4_2, contents[:1])
+        decode(STATE_4_2, (1,), node_symbols(symbols, (1,)))
     with pytest.raises(DimensionMismatch):
-        decode(STATE_4_2, [contents[0], contents[0]])
+        decode(STATE_4_2, (1, 1), node_symbols(symbols, (1, 1)))
+    with pytest.raises(DimensionMismatch):
+        decode(STATE_4_2, (1, 2), node_symbols(symbols, (1, 2))[:3])
 
 
 @given(stripes_4)
 def test_read_systematic_is_identity(stripe):
-    contents = encode(STATE_4_2, stripe)
-    assert read_systematic(STATE_4_2, contents) == stripe
+    symbols = encode(STATE_4_2, stripe)
+    assert read_systematic(STATE_4_2, u_symbols(symbols)) == stripe
 
 
 def test_read_systematic_agrees_with_decode():
     rng = random.Random(8)
     for _ in range(25):
         stripe = tuple(rng.randrange(256) for _ in range(4))
-        contents = encode(STATE_4_2, stripe)
-        assert read_systematic(STATE_4_2, contents) == decode(STATE_4_2, contents[:2])
+        symbols = encode(STATE_4_2, stripe)
+        assert read_systematic(STATE_4_2, u_symbols(symbols)) == decode(
+            STATE_4_2, (1, 2), node_symbols(symbols, (1, 2))
+        )
 
 
 def test_read_systematic_missing_node():
-    contents = encode(STATE_4_2, (1, 2, 3, 4))
-    with pytest.raises(MissingNode):
-        read_systematic(STATE_4_2, contents[:3])  # node 4 absent, dim=4 needed
+    symbols = encode(STATE_4_2, (1, 2, 3, 4))
+    with pytest.raises(DimensionMismatch):
+        read_systematic(STATE_4_2, u_symbols(symbols)[:3])  # node 4 absent, dim=4 needed
 
 
 def test_read_systematic_zero():
-    contents = encode(STATE_4_2, (0, 0, 0, 0))
-    assert read_systematic(STATE_4_2, contents) == (0, 0, 0, 0)
+    symbols = encode(STATE_4_2, (0, 0, 0, 0))
+    assert read_systematic(STATE_4_2, u_symbols(symbols)) == (0, 0, 0, 0)
 
 
 def test_n2_k1_initializes_but_is_tiny():
     # 2k <= n holds and d0(2,1) = 6 < 256; encode/decode work
     state = init_systematic(2, 1, GF256)
     stripe = (3, 9)
-    contents = encode(state, stripe)
-    assert decode(state, [contents[1]]) == stripe
+    symbols = encode(state, stripe)
+    assert decode(state, (2,), node_symbols(symbols, (2,))) == stripe
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (10**5, 5 * 10**4, "need 2n=200000 distinct field points"),
+    (32768, 16384, "<= d0 = 2*C(2n-1, 2k-1) for (n=32768, k=16384)"),
+])
+def test_init_rejects_absurd_shapes_fast(gf65536, n, k, message):
+    # 2n > |F| is checked before the exact binomial; a d0 past Python's
+    # 4300-digit str() limit is named by its formula, never formatted
+    start = time.perf_counter()
+    with pytest.raises(FieldTooSmall) as exc:
+        init_systematic(n, k, gf65536)
+    assert time.perf_counter() - start < 1.0
+    assert message in str(exc.value)

@@ -16,7 +16,6 @@ from mdsrepair.errors import (
 from mdsrepair.field import GF
 from mdsrepair.matrix import det
 from mdsrepair.repair import (
-    _solve_fixed_pair,
     combine_replacement,
     default_helpers,
     find_replacement_conflict,
@@ -24,8 +23,9 @@ from mdsrepair.repair import (
     repair,
     retained_columns,
     solve_coefficients,
-    subset_witness,
 )
+
+from oracles import pinned_eta, subset_witness
 
 GF256 = GF(8)
 STATE = init_systematic(4, 2, GF256)
@@ -89,7 +89,7 @@ def test_combine_replacement_single_rho_copies_column():
     # prescribe each helper's blend in turn to be exactly its v column
     helpers = HELPERS
     for t in range(3):
-        eta = _solve_fixed_pair(STATE, FAILED, helpers, (2 * t, 2 * t + 1), (0, 1))
+        eta = pinned_eta(STATE, FAILED, helpers, (2 * t, 2 * t + 1), (0, 1))
         alpha, beta = tuple(eta[0::2]), tuple(eta[1::2])
         rho = tuple(1 if i == t else 0 for i in range(3))
         v = combine_replacement(STATE, helpers, alpha, beta, rho)
@@ -257,30 +257,34 @@ def test_subset_witness_skips_fully_covered_helper():
     assert sum(1 for r in draw.rho if r) == 1
 
 
+def helper_symbols(state, stripe, helpers):
+    """Each helper's (u, v) symbols for one stripe, flattened, from encode."""
+    symbols = encode(state, stripe)
+    return [symbols[2 * (h - 1) + j] for h in helpers for j in (0, 1)]
+
+
 def test_rebuild_symbols_matches_vector_level():
     rng = random.Random(21)
     state2, t = repair(STATE, FAILED, HELPERS, rng)
     for _ in range(100):
         stripe = tuple(rng.randrange(256) for _ in range(4))
-        contents = [encode(STATE, stripe)[h - 1] for h in HELPERS]
-        sym_u, sym_v = rebuild_symbols(state2, contents, t)
+        sym_u, sym_v = rebuild_symbols(state2, helper_symbols(STATE, stripe, HELPERS), t)
         assert sym_u == dot(GF256, state2.u_cols[FAILED - 1], stripe)
         assert sym_v == dot(GF256, state2.v_cols[FAILED - 1], stripe)
-    zero = [encode(STATE, (0, 0, 0, 0))[h - 1] for h in HELPERS]
+    zero = helper_symbols(STATE, (0, 0, 0, 0), HELPERS)
     assert rebuild_symbols(state2, zero, t) == (0, 0)
 
 
 def test_rebuild_symbols_validates_transcript_binding():
     rng = random.Random(22)
     state2, t = repair(STATE, FAILED, HELPERS, rng)
-    stripe = (1, 2, 3, 4)
-    contents = [encode(STATE, stripe)[h - 1] for h in HELPERS]
+    symbols = helper_symbols(STATE, (1, 2, 3, 4), HELPERS)
     with pytest.raises(InvariantViolation):
-        rebuild_symbols(STATE, contents, t)  # pre-repair state, wrong epoch
+        rebuild_symbols(STATE, symbols, t)  # pre-repair state, wrong epoch
     with pytest.raises(DimensionMismatch):
-        rebuild_symbols(state2, contents[:2], t)
+        rebuild_symbols(state2, symbols[:4], t)  # two helpers' pairs, not three
     with pytest.raises(DimensionMismatch):
-        rebuild_symbols(state2, list(reversed(contents)), t)
+        rebuild_symbols(state2, symbols[:-1], t)  # a pair cut in half
 
 
 def test_repair_on_6_3(gf65536):
@@ -335,7 +339,7 @@ def test_solution_family_chart_consistency():
     rng = random.Random(14)
     for t in range(3):
         vals = (rng.randrange(256), rng.randrange(256))
-        eta = _solve_fixed_pair(STATE, FAILED, HELPERS, (2 * t, 2 * t + 1), vals)
+        eta = pinned_eta(STATE, FAILED, HELPERS, (2 * t, 2 * t + 1), vals)
         alpha, beta = solve_coefficients(STATE, FAILED, HELPERS, eta[0], eta[1])
         assert full_eta(alpha, beta) == eta
 

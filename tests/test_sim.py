@@ -1,14 +1,18 @@
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from mdsrepair import sim
-from mdsrepair.code import find_mds_violation
+from mdsrepair import matrix, sim
+from mdsrepair.code import dot, find_mds_violation
 from mdsrepair.errors import (
     BadShape,
     DimensionMismatch,
+    InvariantViolation,
     MdsRepairError,
     TooFewNodes,
     UnsupportedShape,
@@ -23,6 +27,7 @@ from mdsrepair.sim import (
 )
 
 GF256 = GF(8)
+GF65536 = GF(16)
 
 
 def test_ingest_shape_four_symbols():
@@ -30,7 +35,9 @@ def test_ingest_shape_four_symbols():
     assert len(cluster.stripes) == 1
     assert cluster.stripes[0] == (1, 2, 3, 4)
     for node in range(1, 5):
-        assert len(cluster.node_store[node]) == 1
+        u_plane, v_plane = cluster.node_store[node]
+        assert (u_plane.typecode, len(u_plane), len(v_plane)) == ("B", 1, 1)
+    assert cluster.node_store[2][0][0] == 2  # node 2's u symbol is x_2
     check_conservation(cluster)
 
 
@@ -74,6 +81,13 @@ def test_extract_rejects_bad_node_ids(via):
     assert isinstance(exc.value, MdsRepairError)
 
 
+@pytest.mark.parametrize("data", [b"", b"\x01\x02"])
+def test_extract_rejects_repeated_node_ids(data):
+    cluster = ingest(data, 4, 2, GF256)
+    with pytest.raises(DimensionMismatch):
+        extract(cluster, (1, 1))
+
+
 def test_systematic_extract_touches_no_field_arithmetic(monkeypatch):
     data = bytes(range(64))
     field = GF(8)
@@ -97,9 +111,7 @@ def test_systematic_extract_touches_no_field_arithmetic(monkeypatch):
 def test_fail_and_repair_ledger_and_symbols():
     data = random.Random(3).randbytes(24)
     cluster = ingest(data, 4, 2, GF256)
-    before = {
-        node: list(cluster.node_store[node]) for node in range(1, 5)
-    }
+    before = copy.deepcopy(cluster.node_store)
     rng = random.Random(9)
     fail_and_repair(cluster, 3, rng)
     record = cluster.ledger.records[-1]
@@ -109,8 +121,7 @@ def test_fail_and_repair_ledger_and_symbols():
     assert record.bound_symbols == Fraction(3) * stripes
     assert record.naive_symbols == 4 * stripes
     # u symbols are rebuilt exactly; v symbols follow the functional model
-    for s in range(stripes):
-        assert cluster.node_store[3][s].sym_u == before[3][s].sym_u
+    assert cluster.node_store[3][0] == before[3][0]
     for node in (1, 2, 4):
         assert cluster.node_store[node] == before[node]
     check_conservation(cluster)
@@ -138,7 +149,7 @@ def test_fail_and_repair_zero_stripes():
 def test_fail_and_repair_leaves_cluster_unchanged_when_replay_fails(monkeypatch):
     cluster = ingest(random.Random(8).randbytes(48), 4, 2, GF256)
     fail_and_repair(cluster, 1, random.Random(1))
-    store = {node: list(symbols) for node, symbols in cluster.node_store.items()}
+    store = copy.deepcopy(cluster.node_store)
     state = cluster.state
     history = list(cluster.history)
     records = list(cluster.ledger.records)
@@ -252,3 +263,105 @@ def test_campaign_report_text_deterministic(gf65536):
         "ratio:",
     ):
         assert token in first
+
+
+@pytest.mark.parametrize("n, k, field, size", [(4, 2, GF256, 45), (6, 3, GF65536, 90)])
+def test_per_stripe_call_counts(monkeypatch, n, k, field, size):
+    """Exactly one encode, rebuild_symbols, decode (with one matrix.solve)
+    and read_systematic call per stripe, made through ``sim``'s own names.
+
+    These are the counts that ``check_counts`` in perfbench/spans.py
+    requires of every traced benchmark run; a data path that changes them
+    must restate those closed forms there first.
+    """
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in ("encode", "rebuild_symbols", "decode", "read_systematic"):
+        monkeypatch.setattr(sim, name, counting(name, getattr(sim, name)))
+    monkeypatch.setattr(matrix, "solve", counting("solve", matrix.solve))
+    data = random.Random(size).randbytes(size)
+    cluster = ingest(data, n, k, field)
+    stripes = len(cluster.stripes)
+    assert stripes > 1
+    assert counts == {"encode": stripes}
+    counts.clear()
+    fail_and_repair(cluster, n, random.Random(3))
+    draws = cluster.history[-1].retries + 1  # one coefficient solve per draw
+    assert counts == {"rebuild_symbols": stripes, "solve": draws}
+    counts.clear()
+    assert extract(cluster, range(n - k + 1, n + 1)) == data
+    assert counts == {"decode": stripes, "solve": stripes}
+    counts.clear()
+    assert extract(cluster, "systematic") == data
+    assert counts == {"read_systematic": stripes}
+
+
+def assert_planes_match_oracle(cluster):
+    """Every plane entry equals ``dot`` of its column with the stripe."""
+    state = cluster.state
+    for node in range(1, state.n + 1):
+        for col, plane in zip(state.node_columns(node), cluster.node_store[node]):
+            want = [dot(state.field, col, stripe) for stripe in cluster.stripes]
+            assert plane.tolist() == want, node
+
+
+shapes = st.sampled_from(
+    [(4, 2, GF256), (5, 2, GF256), (4, 2, GF65536), (5, 2, GF65536), (6, 3, GF65536)]
+)
+payloads = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from([0, 0, 0, 1, 0xFF]), max_size=80).map(bytes),
+)
+
+
+@given(shape=shapes, payload=payloads, choose=st.data())
+@example(shape=(6, 3, GF65536), payload=b"", choose=None)
+@example(shape=(4, 2, GF256), payload=bytes(13), choose=None)
+def test_planes_match_scalar_oracle(shape, payload, choose):
+    n, k, field = shape
+    width = field.m // 8
+    stride = 2 * k * width
+    cluster = ingest(payload, n, k, field)
+    padded = payload + bytes(-len(payload) % stride)
+    assert cluster.stripes == [
+        tuple(int.from_bytes(padded[i : i + width], "big") for i in range(off, off + stride, width))
+        for off in range(0, len(padded), stride)
+    ]
+    assert_planes_match_oracle(cluster)
+    repairs = [] if choose is None else range(choose.draw(st.integers(1, 2)))
+    for _ in repairs:
+        failed = choose.draw(st.integers(1, n))
+        survivors = [h for h in range(1, n + 1) if h != failed]
+        helpers = choose.draw(st.permutations(survivors))[: k + 1]
+        before = copy.deepcopy(cluster.node_store)
+        fail_and_repair(cluster, failed, random.Random(choose.draw(st.integers(0, 999))),
+                        helpers=helpers)
+        assert cluster.history[-1].helpers == tuple(helpers)
+        assert_planes_match_oracle(cluster)
+        assert cluster.node_store[failed][0] == before[failed][0]  # u rebuilt exactly
+        for node in survivors:
+            assert cluster.node_store[node] == before[node]
+    for nodes in combinations(range(1, n + 1), k):
+        assert extract(cluster, nodes) == payload
+    assert extract(cluster, "systematic") == payload
+
+
+@pytest.mark.parametrize("plane", [0, 1], ids=["u", "v"])
+def test_check_conservation_names_the_node_of_a_flipped_symbol(plane):
+    cluster = ingest(bytes(range(40)), 4, 2, GF256)
+    cluster.node_store[3][plane][2] ^= 0x10
+    with pytest.raises(InvariantViolation, match="node 3 stripe 2"):
+        check_conservation(cluster)
+
+
+def test_check_conservation_rejects_a_truncated_plane():
+    cluster = ingest(bytes(range(40)), 4, 2, GF256)
+    cluster.node_store[2][1].pop()
+    with pytest.raises(InvariantViolation, match="node 2 v plane holds 9 symbols, expected 10"):
+        check_conservation(cluster)
