@@ -172,7 +172,7 @@ def encode(state: CodeState, stripe) -> list[int]:
         raise DimensionMismatch(
             f"stripe must have 2k={state.dim} symbols, got {len(stripe)}"
         )
-    exp, log = state.field.exp, state.field.log
+    exp, log = state.field.data_tables()
     lx = [log[x] for x in stripe]  # -1 marks a zero symbol
     out = []
     for terms in state.encode_terms:

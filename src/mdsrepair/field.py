@@ -12,6 +12,7 @@ Only m = 8 and m = 16 are supported, each with one reduction polynomial
 from __future__ import annotations
 
 import random
+from array import array
 
 from .errors import BadPolynomial, ZeroInverse
 
@@ -31,10 +32,13 @@ class GF:
 
     The table attributes are immutable after construction and safe to
     share across threads.  ``exp`` is doubled in length so callers may
-    index ``exp[log[a] + log[b]]`` without a modulo.
+    index ``exp[log[a] + log[b]]`` without a modulo.  They are tuples: the
+    collector stops tracking a tuple of ints after its first pass, so
+    later full collections skip their 3 * 2^m entries (for m = 16, about
+    5 MiB with the int objects they point at).
     """
 
-    __slots__ = ("m", "order", "poly", "exp", "log")
+    __slots__ = ("m", "order", "poly", "exp", "log", "_data_tables")
 
     def __init__(self, m: int):
         if m not in DEFAULT_POLY:
@@ -66,8 +70,28 @@ class GF:
         self.m = m
         self.order = order
         self.poly = poly
+        # rebinding drops each list before the next table is built, which
+        # keeps the peak RSS where the lists left it
+        log = tuple(log)
+        exp = tuple(exp)
         self.exp = exp + exp  # doubled: exp[i] == exp[i + order - 1]
         self.log = log
+        self._data_tables = None
+
+    def data_tables(self) -> tuple:
+        """(exp, log) for kernels that index them at data symbols.
+
+        Such lookups land at random.  For m = 16 the tuples and their int
+        objects span about 5 MiB and miss cache, so these kernels get
+        typed-array copies (0.5 MiB), built on first use; for m = 8 the
+        tuples are small and quicker to index, and are returned as they are.
+        """
+        if self._data_tables is None:
+            if self.m == 16:
+                self._data_tables = (array("H", self.exp), array("i", self.log))
+            else:
+                self._data_tables = (self.exp, self.log)
+        return self._data_tables
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

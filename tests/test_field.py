@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -102,3 +103,17 @@ def test_field_equality_and_repr():
     assert GF(8).poly == 0x11D and GF(16).poly == 0x1100B
     assert GF(8) != GF(16)
     assert "0x11d" in repr(GF(8))
+
+
+def test_data_tables_equal_the_tables(gf256, gf65536):
+    for gf in (gf256, gf65536):
+        exp, log = gf.data_tables()
+        assert tuple(exp) == gf.exp and tuple(log) == gf.log
+        assert log[0] == -1  # encode's zero-symbol marker
+        assert gf.data_tables() is gf.data_tables()  # built once
+    assert gf256.data_tables()[0] is gf256.exp  # small enough to index as is
+
+
+def test_tables_leave_the_collector(gf65536):
+    gc.collect()
+    assert not gc.is_tracked(gf65536.exp) and not gc.is_tracked(gf65536.log)
