@@ -97,3 +97,17 @@ def degree_bound(n: int, k: int) -> int:
     if 2 * k > n:
         raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
     return 2 * math.comb(2 * n - 1, 2 * k - 1)
+
+
+def degree_bound_reaches(n: int, k: int, limit: int) -> bool:
+    """Whether degree_bound(n, k) >= limit, for a shape it accepts.
+
+    C(2n-2k+i, i) never decreases over i = 1..2k-1 and ends at C(2n-1, 2k-1),
+    so the walk stops as soon as twice it reaches ``limit``: d0 is never built.
+    """
+    c = 1
+    for i in range(1, 2 * k):
+        c = c * (2 * n - 2 * k + i) // i
+        if 2 * c >= limit:
+            return True
+    return False

@@ -21,10 +21,11 @@ symbols, so serialize(deserialize(f)) == f byte-for-byte; ``_state_doc``
 is the one definition of the format.  Loading, for every command, reads
 only the replay's inputs (field width, n, k, and each repair's failed
 node, helpers, draw and retry count), replays them from the systematic
-init, and requires the file to equal the canonical document of the
-result key for key; the replayed columns must then pass the exhaustive
-full-rank scan over all 2k-subsets.  Files are replaced atomically, so a
-crash leaves either the old file or the new one.
+init through the same step ``repair`` takes, and requires the file to
+equal the canonical document of the result key for key; the replayed
+columns must then pass the exhaustive full-rank scan over all 2k-subsets.
+Files are replaced atomically, so a crash leaves either the old file or
+the new one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import random
 import sys
 from pathlib import Path
 
-from .bounds import cut_bound, degree_bound
+from .bounds import cut_bound, degree_bound, degree_bound_reaches
 from .code import (
     CodeState,
     column_label,
@@ -52,14 +53,7 @@ from .errors import (
     StateFileError,
 )
 from .field import GF
-from .repair import (
-    RepairDraw,
-    RepairTranscript,
-    combine_replacement,
-    default_helpers,
-    repair,
-    solve_coefficients,
-)
+from .repair import RepairDraw, default_helpers, repair, repair_step
 from .sim import campaign, ingest
 
 FORMAT_VERSION = "1"
@@ -159,10 +153,11 @@ def load_state_text(text: str):
 
     Only the replay's inputs are read: the version, the field width, n, k
     and each history entry's failed node, helpers, draw and retry count.
-    The history is replayed from ``init_systematic(n, k, GF(m))``, and the
-    file must then equal the canonical dump of the replay key for key:
-    columns, coefficients, replacement columns and epochs are all derived
-    data.  The replayed columns must pass the exhaustive full-rank scan.
+    The history is replayed from ``init_systematic(n, k, GF(m))``, each
+    entry through ``repair_step``, the step ``repair`` takes for the draw
+    it accepts.  The file must then equal the canonical dump of the replay
+    key for key: columns, coefficients, replacement columns and epochs are
+    all derived data.  The replayed columns must pass the exhaustive full-rank scan.
     Retry counts are not checked: the rejected draws are not recorded.
     """
     try:
@@ -192,17 +187,12 @@ def load_state_text(text: str):
             helpers = tuple(int(h) for h in raw["helpers"])
             a1, b1 = _sym(field, xi["alpha1"]), _sym(field, xi["beta1"])
             draw = RepairDraw(a1, b1, tuple(_sym(field, r) for r in xi["rho"]))
-            alpha, beta = solve_coefficients(state, failed, helpers, a1, b1)
-            v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+            state, transcript = repair_step(state, failed, helpers, draw, retries)
         except (KeyError, TypeError, ValueError, OverflowError, MdsRepairError) as e:
             raise StateFileError(
                 f"history[{idx}] does not replay: {type(e).__name__}: {e}"
             ) from None
-        after = state.repaired(failed, v_new)
-        history.append(RepairTranscript(
-            failed, helpers, draw, alpha, beta, v_new, retries, state.epoch, after.epoch
-        ))
-        state = after
+        history.append(transcript)
 
     problem = _mismatch(doc, _state_doc(state, history))
     if problem is not None:
@@ -313,22 +303,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _printable_d0(n: int, k: int) -> int:
-    """degree_bound(n, k), or BadShape when it has over D0_DIGITS digits.
-
-    The digit count is estimated with lgamma first, so a d0 far past the
-    limit is never computed; one near it is checked exactly.
-    """
-    too_long = BadShape(
-        f"d0 = 2*C(2n-1, 2k-1) for n={n}, k={k} has more than {D0_DIGITS} digits"
-    )
-    if 1 <= k and 2 * k <= n:  # a bad shape is named by degree_bound
-        ln_comb = math.lgamma(2 * n) - math.lgamma(2 * k) - math.lgamma(2 * n - 2 * k + 1)
-        if math.log10(2) + ln_comb / math.log(10) > D0_DIGITS + 1:
-            raise too_long
-    d0 = degree_bound(n, k)
-    if d0 >= 10**D0_DIGITS:
-        raise too_long
-    return d0
+    """degree_bound(n, k), or BadShape when it has over D0_DIGITS digits."""
+    # a bad shape is named by degree_bound
+    if 1 <= k and 2 * k <= n and degree_bound_reaches(n, k, 10**D0_DIGITS):
+        raise BadShape(
+            f"d0 = 2*C(2n-1, 2k-1) for n={n}, k={k} has more than {D0_DIGITS} digits"
+        )
+    return degree_bound(n, k)
 
 
 def _cmd_bound(args) -> int:

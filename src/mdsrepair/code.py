@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import matrix
-from .bounds import degree_bound
+from .bounds import degree_bound, degree_bound_reaches
 from .errors import BadShape, DimensionMismatch, FieldTooSmall
 from .field import GF
 
@@ -51,10 +51,14 @@ class CodeState:
     def dim(self) -> int:
         return 2 * self.k
 
+    def is_node(self, node) -> bool:
+        """Whether ``node`` is a node id: an int in 1..n."""
+        return isinstance(node, int) and 1 <= node <= self.n
+
     def node_columns(self, node: int) -> tuple[Column, Column]:
         """(u, v) columns of a 1-based node id."""
-        if not 1 <= node <= self.n:
-            raise BadShape(f"node {node} outside 1..{self.n}")
+        if not self.is_node(node):
+            raise BadShape(f"node {node!r} outside 1..{self.n}")
         return self.u_cols[node - 1], self.v_cols[node - 1]
 
     def repaired(self, node: int, v_new: Column) -> CodeState:
@@ -106,14 +110,12 @@ def init_systematic(n: int, k: int, field: GF) -> CodeState:
         raise BadShape(f"k must be >= 1, got {k}")
     if 2 * k > n:
         raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
-    # 2n <= |F| <= 2^16 bounds n before the exact binomial is computed
     if 2 * n > field.order:
         raise FieldTooSmall(
             f"need 2n={2 * n} distinct field points, field has {field.order}"
         )
-    d0 = degree_bound(n, k)
-    if field.order <= d0:
-        value = f" = {d0}" if d0 < 2**64 else ""  # no str() of a huge int
+    if degree_bound_reaches(n, k, field.order):
+        value = "" if degree_bound_reaches(n, k, 2**64) else f" = {degree_bound(n, k)}"
         raise FieldTooSmall(
             f"|F|={field.order} <= d0 = 2*C(2n-1, 2k-1){value} for (n={n}, k={k}); "
             f"use a larger field"

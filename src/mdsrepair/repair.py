@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedShape,
 )
 
-DEFAULT_MAX_RETRIES = 64
+MAX_RETRIES = 64  # rejected draws before a repair gives up
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class RepairTranscript:
 
 
 def validate_helpers(state: CodeState, failed: int, helpers) -> tuple[int, ...]:
-    if not 1 <= failed <= state.n:
-        raise BadHelpers(f"failed node {failed} outside 1..{state.n}")
+    if not state.is_node(failed):
+        raise BadHelpers(f"failed node {failed!r} outside 1..{state.n}")
     if state.n < state.k + 2:
         raise UnsupportedShape(
             f"repair needs k+1={state.k + 1} surviving helpers; "
@@ -87,8 +87,8 @@ def validate_helpers(state: CodeState, failed: int, helpers) -> tuple[int, ...]:
     if len(set(helpers)) != len(helpers):
         raise BadHelpers(f"duplicate helpers in {helpers}")
     for h in helpers:
-        if not 1 <= h <= state.n:
-            raise BadHelpers(f"helper {h} outside 1..{state.n}")
+        if not state.is_node(h):
+            raise BadHelpers(f"helper {h!r} outside 1..{state.n}")
         if h == failed:
             raise BadHelpers(f"failed node {failed} cannot be its own helper")
     return helpers
@@ -181,49 +181,45 @@ def _draw(state: CodeState, rng: random.Random) -> RepairDraw:
     return RepairDraw(alpha1=alpha1, beta1=beta1, rho=rho)
 
 
+def repair_step(
+    state: CodeState, failed: int, helpers, draw: RepairDraw, retries: int
+) -> tuple[CodeState, RepairTranscript]:
+    """The repair one draw defines: the next state and its transcript.
+
+    Solves the other blend coefficients, combines the replacement v column
+    and installs it, without checking it; ``repair`` accepts the result
+    only when ``find_replacement_conflict`` passes, and the state-file
+    loader replays each history entry through this same step.
+    """
+    alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
+    v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+    after = state.repaired(failed, v_new)
+    return after, RepairTranscript(
+        failed, tuple(helpers), draw, alpha, beta, v_new, retries, state.epoch, after.epoch
+    )
+
+
 def repair(
-    state: CodeState,
-    failed: int,
-    helpers,
-    rng: random.Random,
-    *,
-    max_retries: int = DEFAULT_MAX_RETRIES,
+    state: CodeState, failed: int, helpers, rng: random.Random
 ) -> tuple[CodeState, RepairTranscript]:
     """Repair one failed node; returns the new state and a transcript.
 
-    Draws the k+3 free coefficients uniformly, solves the remaining ones,
-    synthesizes the replacement v column and accepts iff the exhaustive
-    subset check passes; otherwise redraws.  max_retries bounds *rejected*
-    draws -- with a properly sized field the expected number of retries is
-    well below one, so exhausting them signals a broken configuration.
+    Draws the k+3 free coefficients uniformly, takes the ``repair_step``
+    they define and accepts it iff the exhaustive subset check passes;
+    otherwise redraws.  MAX_RETRIES bounds *rejected* draws -- with a
+    properly sized field the expected number of retries is well below one,
+    so exhausting them signals a broken configuration.
     """
     helpers = validate_helpers(state, failed, helpers)
-    retries = 0
-    while True:
-        draw = _draw(state, rng)
-        alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
-        v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
-        if find_replacement_conflict(state, failed, v_new) is None:
-            new_state = state.repaired(failed, v_new)
-            transcript = RepairTranscript(
-                failed=failed,
-                helpers=helpers,
-                draw=draw,
-                alpha=alpha,
-                beta=beta,
-                v_new=v_new,
-                retries=retries,
-                epoch_before=state.epoch,
-                epoch_after=new_state.epoch,
-            )
-            return new_state, transcript
-        retries += 1
-        if retries > max_retries:
-            raise RetriesExhausted(
-                f"{retries} rejected draws for failed={failed}; expected "
-                f"rejection rate is under d0/|F|, so the field or shape "
-                f"is misconfigured"
-            )
+    for retries in range(MAX_RETRIES + 1):
+        after, transcript = repair_step(state, failed, helpers, _draw(state, rng), retries)
+        if find_replacement_conflict(state, failed, transcript.v_new) is None:
+            return after, transcript
+    raise RetriesExhausted(
+        f"{MAX_RETRIES + 1} rejected draws for failed={failed}; expected "
+        f"rejection rate is under d0/|F|, so the field or shape "
+        f"is misconfigured"
+    )
 
 
 def rebuild_symbols(state, symbols, transcript: RepairTranscript) -> tuple[int, int]:

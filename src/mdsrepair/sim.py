@@ -197,7 +197,7 @@ def extract(cluster: Cluster, via) -> bytes:
     if len(nodes) != state.k:
         raise DimensionMismatch(f"decode takes exactly k={state.k} nodes")
     for node in nodes:
-        if not isinstance(node, int) or not 1 <= node <= state.n:
+        if not state.is_node(node):
             raise BadShape(f"node id {node!r} outside 1..{state.n}")
     if len(set(nodes)) != len(nodes):
         raise DimensionMismatch(f"duplicate node ids in {nodes}")

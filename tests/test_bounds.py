@@ -9,6 +9,7 @@ from mdsrepair.bounds import (
     RepairPlan,
     cut_bound,
     degree_bound,
+    degree_bound_reaches,
     find_cut_violation,
 )
 from mdsrepair.errors import BadShape
@@ -51,6 +52,13 @@ def test_degree_bound_values():
     assert degree_bound(2, 1) == 2 * comb(3, 1) == 6
     with pytest.raises(BadShape):
         degree_bound(3, 2)
+
+
+@given(k=st.integers(1, 12), extra=st.integers(0, 12), shift=st.integers(-2, 2))
+def test_degree_bound_reaches_matches_exact_comparison(k, extra, shift):
+    n = 2 * k + extra
+    limit = degree_bound(n, k) + shift
+    assert degree_bound_reaches(n, k, limit) == (degree_bound(n, k) >= limit)
 
 
 def test_uniform_plan_meets_every_inequality_with_equality():

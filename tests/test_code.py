@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import replace
@@ -208,9 +209,17 @@ def test_n2_k1_initializes_but_is_tiny():
     (10**5, 5 * 10**4, "need 2n=200000 distinct field points"),
     (32768, 16384, "<= d0 = 2*C(2n-1, 2k-1) for (n=32768, k=16384)"),
 ])
-def test_init_rejects_absurd_shapes_fast(gf65536, n, k, message):
-    # 2n > |F| is checked before the exact binomial; a d0 past Python's
-    # 4300-digit str() limit is named by its formula, never formatted
+def test_init_rejects_absurd_shapes_fast(monkeypatch, gf65536, n, k, message):
+    # 2n > |F| is checked first and d0 >= |F| is decided without building
+    # the binomial; a d0 past 2^64 is named by its formula, never formatted
+    comb = math.comb
+
+    def small_comb(*args):
+        if max(args) > 10_000:
+            raise AssertionError(f"math.comb{args} builds a huge binomial")
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", small_comb)
     start = time.perf_counter()
     with pytest.raises(FieldTooSmall) as exc:
         init_systematic(n, k, gf65536)

@@ -190,8 +190,9 @@ def test_repair_unsupported_tiny_shape():
 
 
 def test_repair_retries_exhausted_on_degenerate_draws():
-    with pytest.raises(RetriesExhausted):
-        repair(STATE, FAILED, HELPERS, RejectingRng(), max_retries=3)
+    # every draw fails its first determinant, so the full bound runs fast
+    with pytest.raises(RetriesExhausted, match="^65 rejected draws for failed=4;"):
+        repair(STATE, FAILED, HELPERS, RejectingRng())
 
 
 def test_default_helpers_lowest_survivors():

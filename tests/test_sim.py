@@ -1,15 +1,21 @@
 import copy
+import importlib
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from mdsrepair import matrix, sim
-from mdsrepair.code import dot, find_mds_violation
+from mdsrepair.cli import dump_state_text, load_state_text
+from mdsrepair.code import decode, dot, find_mds_violation, init_systematic
 from mdsrepair.errors import (
+    BadHelpers,
     BadShape,
     DimensionMismatch,
     InvariantViolation,
@@ -18,6 +24,7 @@ from mdsrepair.errors import (
     UnsupportedShape,
 )
 from mdsrepair.field import GF
+from mdsrepair.repair import default_helpers, repair, solve_coefficients
 from mdsrepair.sim import (
     campaign,
     check_conservation,
@@ -300,6 +307,113 @@ def test_per_stripe_call_counts(monkeypatch, n, k, field, size):
     counts.clear()
     assert extract(cluster, "systematic") == data
     assert counts == {"read_systematic": stripes}
+
+
+@pytest.mark.parametrize(
+    "n, k, field, seed, rejected", [(4, 2, GF256, 9, 2), (6, 3, GF65536, 2, 0)]
+)
+def test_control_plane_call_counts(monkeypatch, n, k, field, seed, rejected):
+    """Dets per scan and one solve, combine and acceptance scan per draw,
+    counted the way the traced benchmark counts them: each function is
+    rebound in every mdsrepair module that binds it, so only a call made
+    through a module-level name is seen.
+
+    These are the rules that ``check_counts`` in perfbench/spans.py
+    requires of every traced run: a full MDS scan makes C(2n, 2k) dets and
+    one that stops at subset S makes rank(S)+1; a repair solves, combines
+    and scans once per draw, and its accepted scan makes C(2n-1, 2k-1)
+    dets; the state-file loader replays each history entry with one solve
+    and one combine, then scans in full once.
+    """
+    repair_mod = importlib.import_module("mdsrepair.repair")
+    counts = Counter()
+    scans = []  # (first conflict or None, dets) per acceptance scan
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    def rank(subset, size):
+        return list(combinations(range(size), len(subset))).index(tuple(subset))
+
+    def rebind(fn, wrapper):
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.partition(".")[0] == "mdsrepair":
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+    rebind(matrix.det, counting("det", matrix.det))
+    for name in ("solve_coefficients", "combine_replacement"):
+        fn = getattr(repair_mod, name)
+        rebind(fn, counting(name, fn))
+    conflict = repair_mod.find_replacement_conflict
+
+    def scanning(*args):
+        before = counts["det"]
+        result = conflict(*args)
+        scans.append((result, counts["det"] - before))
+        return result
+
+    rebind(conflict, scanning)
+
+    state = init_systematic(n, k, field)
+    assert find_mds_violation(state) is None
+    assert counts == {"det": math.comb(2 * n, 2 * k)}
+    counts.clear()
+    planted = replace(state, v_cols=state.v_cols[:-1] + (state.u_cols[0],))
+    subset = find_mds_violation(planted)
+    assert subset[0] == 0 and subset[-1] == 2 * n - 1
+    assert counts == {"det": rank(subset, 2 * n) + 1}
+
+    rng = random.Random(seed)
+    history = []
+    for failed in (1, n, 2, n):
+        counts.clear()
+        scans.clear()
+        helpers = default_helpers(state, failed)
+        state, transcript = repair(state, failed, helpers, rng)
+        history.append(transcript)
+        draws = transcript.retries + 1
+        assert counts["solve_coefficients"] == counts["combine_replacement"] == draws
+        assert len(scans) == draws
+        assert scans[-1] == (None, math.comb(2 * n - 1, 2 * k - 1))
+        for rejecting, dets in scans[:-1]:
+            assert dets == rank(rejecting, 2 * n - 1) + 1
+        assert counts["det"] == sum(dets for _, dets in scans)
+
+    assert sum(t.retries for t in history) == rejected  # rejected scans were checked
+
+    text = dump_state_text(state, history)
+    counts.clear()
+    assert load_state_text(text) == (state, history)
+    assert counts == {
+        "solve_coefficients": len(history),
+        "combine_replacement": len(history),
+        "det": math.comb(2 * n, 2 * k),
+    }
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda c, rng: decode(c.state, ("a", "b"), (0,) * 4), BadShape),
+    (lambda c, rng: decode(c.state, (1.5, 2), (0,) * 4), BadShape),
+    (lambda c, rng: repair(c.state, 1, ("a", 2, 3), rng), BadHelpers),
+    (lambda c, rng: repair(c.state, 1.0, (2, 3, 4), rng), BadHelpers),
+    (lambda c, rng: solve_coefficients(c.state, 4, (1, 2, 3.0), 1, 2), BadHelpers),
+    (lambda c, rng: default_helpers(c.state, "x"), BadHelpers),
+    (lambda c, rng: fail_and_repair(c, "x", rng), BadHelpers),
+    (lambda c, rng: fail_and_repair(c, 2.0, rng), BadHelpers),
+])
+def test_bad_node_ids_raise_typed_errors(call, error):
+    """A node id that is not an int in 1..n fails typed, changing nothing."""
+    cluster = ingest(b"0123456789", 4, 2, GF256)
+    fail_and_repair(cluster, 1, random.Random(1))
+    before = copy.deepcopy(cluster)
+    with pytest.raises(error):
+        call(cluster, random.Random(2))
+    assert cluster == before
 
 
 def assert_planes_match_oracle(cluster):
