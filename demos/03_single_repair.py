@@ -30,8 +30,8 @@ def main():
 
     print(f"failed node {t.failed}, helpers {t.helpers}, "
           f"rejected draws: {t.retries}")
-    print(f"drawn free coefficients: alpha1=0x{t.draw.alpha1:04x} "
-          f"beta1=0x{t.draw.beta1:04x} rho={[f'{r:04x}' for r in t.draw.rho]}")
+    print(f"drawn free coefficients: alpha1=0x{t.alpha[0]:04x} "
+          f"beta1=0x{t.beta[0]:04x} rho={[f'{r:04x}' for r in t.rho]}")
     print("solved per-helper blend coefficients:")
     for h, a, b in zip(t.helpers, t.alpha, t.beta):
         print(f"  helper {h}: alpha=0x{a:04x} beta=0x{b:04x}")

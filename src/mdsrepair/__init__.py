@@ -28,7 +28,6 @@ from .code import (
 )
 from .field import GF
 from .repair import (
-    RepairDraw,
     RepairTranscript,
     combine_replacement,
     default_helpers,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "CodeState",
-    "RepairDraw",
     "RepairTranscript",
     "RepairPlan",
     "RepairRecord",

@@ -53,7 +53,7 @@ from .errors import (
     StateFileError,
 )
 from .field import GF
-from .repair import RepairDraw, default_helpers, repair, repair_step
+from .repair import default_helpers, repair, repair_step
 from .sim import campaign, ingest
 
 FORMAT_VERSION = "1"
@@ -94,9 +94,9 @@ def _state_doc(state: CodeState, history) -> dict:
                 "failed": t.failed,
                 "helpers": list(t.helpers),
                 "xi": {
-                    "alpha1": _hex(f, t.draw.alpha1),
-                    "beta1": _hex(f, t.draw.beta1),
-                    "rho": [_hex(f, r) for r in t.draw.rho],
+                    "alpha1": _hex(f, t.alpha[0]),
+                    "beta1": _hex(f, t.beta[0]),
+                    "rho": [_hex(f, r) for r in t.rho],
                 },
                 "alpha": [_hex(f, a) for a in t.alpha],
                 "beta": [_hex(f, b) for b in t.beta],
@@ -186,7 +186,7 @@ def load_state_text(text: str):
             failed, retries = int(raw["failed"]), int(raw["retries"])
             helpers = tuple(int(h) for h in raw["helpers"])
             a1, b1 = _sym(field, xi["alpha1"]), _sym(field, xi["beta1"])
-            draw = RepairDraw(a1, b1, tuple(_sym(field, r) for r in xi["rho"]))
+            draw = a1, b1, tuple(_sym(field, r) for r in xi["rho"])
             state, transcript = repair_step(state, failed, helpers, draw, retries)
         except (KeyError, TypeError, ValueError, OverflowError, MdsRepairError) as e:
             raise StateFileError(
@@ -272,13 +272,12 @@ def _cmd_repair(args) -> int:
     new_state, transcript = repair(state, args.failed, helpers, rng)
     history.append(transcript)
     _write_state(args.path, new_state, history)
-    per_stripe = state.k + 1
     bound = cut_bound(2 * state.k, state.k, state.k + 1)
     print(
         f"repaired node {transcript.failed} from helpers "
         f"{','.join(map(str, transcript.helpers))}: retries={transcript.retries}"
     )
-    print(f"downloads {per_stripe} symbols; bound {bound}")
+    print(f"downloads {len(transcript.helpers)} symbols; bound {bound}")
     print(f"epoch: {new_state.epoch}")
     return 0
 

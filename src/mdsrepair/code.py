@@ -199,13 +199,13 @@ def decode(state: CodeState, nodes, symbols) -> Column:
         raise DimensionMismatch(
             f"decode needs exactly k={state.k} nodes, got {len(nodes)}"
         )
-    if len(set(nodes)) != len(nodes):
-        raise DimensionMismatch(f"duplicate node ids in {nodes}")
     if len(symbols) != state.dim:
         raise DimensionMismatch(
             f"decode needs 2k={state.dim} symbols, got {len(symbols)}"
         )
     rows = [col for node in nodes for col in state.node_columns(node)]
+    if len(set(nodes)) != len(nodes):  # set() needs the ids node_columns checked
+        raise DimensionMismatch(f"duplicate node ids in {nodes}")
     return tuple(matrix.solve(state.field, rows, symbols))
 
 

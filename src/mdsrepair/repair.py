@@ -19,7 +19,8 @@ independent (they are distinct columns of an MDS code), so the solution
 set is a 2-parameter affine family: fixing any two entries of eta pins
 the rest uniquely.  We expose (alpha_1, beta_1) as the free pair, draw it
 uniformly together with rho_1..rho_(k+1) -- k+3 random symbols per
-attempt -- and accept iff the resulting replacement column clears every
+attempt, which the transcript keeps as alpha[0], beta[0] and rho -- and
+accept iff the resulting replacement column clears every
 (2k-1)-subset determinant.  Rejection probability per draw is at most
 degree_bound(n, k) / |F|, tiny for the supported fields, so the retry
 loop terminates almost immediately in practice.
@@ -44,29 +45,19 @@ MAX_RETRIES = 64  # rejected draws before a repair gives up
 
 
 @dataclass(frozen=True)
-class RepairDraw:
-    """The k+3 free coefficients of one repair attempt.
-
-    alpha1/beta1 are the blend coefficients at the first helper; the
-    remaining 2k blend coefficients follow from them.  rho holds the k+1
-    recombination weights, aligned with the helper list.  Draw order is
-    alpha1, beta1, rho[0], ..., rho[k].
-    """
-
-    alpha1: int
-    beta1: int
-    rho: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RepairTranscript:
-    """Everything one repair did, enough to audit or replay it."""
+    """Everything one repair did, enough to audit or replay it.
+
+    alpha[0], beta[0] and rho are the k+3 drawn values: the free blend
+    pair at the first helper and the k+1 recombination weights, aligned
+    with helpers.  The other 2k blend coefficients follow from them.
+    """
 
     failed: int
     helpers: tuple[int, ...]
-    draw: RepairDraw
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
+    rho: tuple[int, ...]
     v_new: Column
     retries: int
     epoch_before: int
@@ -84,7 +75,7 @@ def validate_helpers(state: CodeState, failed: int, helpers) -> tuple[int, ...]:
     helpers = tuple(helpers)
     if len(helpers) != state.k + 1:
         raise BadHelpers(f"need exactly k+1={state.k + 1} helpers, got {len(helpers)}")
-    if len(set(helpers)) != len(helpers):
+    if any(h in helpers[:i] for i, h in enumerate(helpers)):  # ids may be unhashable
         raise BadHelpers(f"duplicate helpers in {helpers}")
     for h in helpers:
         if not state.is_node(h):
@@ -148,6 +139,8 @@ def retained_columns(state: CodeState, failed: int) -> list[Column]:
 
     Order: u_1..u_n, then every v except the failed node's, ascending.
     """
+    if not state.is_node(failed):
+        raise BadHelpers(f"failed node {failed!r} outside 1..{state.n}")
     return list(state.u_cols) + [
         v for i, v in enumerate(state.v_cols) if i != failed - 1
     ]
@@ -173,29 +166,28 @@ def find_replacement_conflict(
     )
 
 
-def _draw(state: CodeState, rng: random.Random) -> RepairDraw:
-    gf = state.field
-    alpha1 = gf.random_element(rng)
-    beta1 = gf.random_element(rng)
-    rho = tuple(gf.random_element(rng) for _ in range(state.k + 1))
-    return RepairDraw(alpha1=alpha1, beta1=beta1, rho=rho)
+def _draw(state: CodeState, rng: random.Random) -> tuple:
+    """(alpha1, beta1, rho): k+3 uniform symbols, drawn in that order."""
+    values = [state.field.random_element(rng) for _ in range(state.k + 3)]
+    return values[0], values[1], tuple(values[2:])
 
 
 def repair_step(
-    state: CodeState, failed: int, helpers, draw: RepairDraw, retries: int
+    state: CodeState, failed: int, helpers, draw, retries: int
 ) -> tuple[CodeState, RepairTranscript]:
-    """The repair one draw defines: the next state and its transcript.
+    """The next state and transcript that a draw (alpha1, beta1, rho) defines.
 
     Solves the other blend coefficients, combines the replacement v column
     and installs it, without checking it; ``repair`` accepts the result
     only when ``find_replacement_conflict`` passes, and the state-file
     loader replays each history entry through this same step.
     """
-    alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
-    v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+    alpha1, beta1, rho = draw
+    alpha, beta = solve_coefficients(state, failed, helpers, alpha1, beta1)
+    v_new = combine_replacement(state, helpers, alpha, beta, rho)
     after = state.repaired(failed, v_new)
     return after, RepairTranscript(
-        failed, tuple(helpers), draw, alpha, beta, v_new, retries, state.epoch, after.epoch
+        failed, tuple(helpers), alpha, beta, rho, v_new, retries, state.epoch, after.epoch
     )
 
 
@@ -247,7 +239,7 @@ def rebuild_symbols(state, symbols, transcript: RepairTranscript) -> tuple[int, 
     sym_v = 0
     pairs = iter(symbols)
     for su, sv, a, b, r in zip(
-        pairs, pairs, transcript.alpha, transcript.beta, transcript.draw.rho
+        pairs, pairs, transcript.alpha, transcript.beta, transcript.rho
     ):
         d = exp[log[a] + log[su]] if a and su else 0
         if b and sv:

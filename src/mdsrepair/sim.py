@@ -5,9 +5,10 @@ into stripes of 2k symbols, and every node stores two symbol planes: its
 u symbols and its v symbols, one of each per stripe.  Each per-stripe
 call (encode, rebuild, decode, systematic read) is fed by zipping the
 planes it needs.  A repair runs once at the vector level (one transcript
-per failure) and is then replayed per stripe at symbol granularity, using
-only surviving nodes' stored symbols -- the ledger records exactly what
-moved.
+per failure, kept in ``history``) and is then replayed per stripe at
+symbol granularity, using only surviving nodes' stored symbols -- the
+ledger counts exactly what moved.  Reports derive the rest (retries, the
+cut bound, the naive baseline) from the transcripts, k and stripe counts.
 
 A Cluster is owned by one logical task; repairs are strictly sequential.
 """
@@ -51,14 +52,13 @@ Stripe = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RepairRecord:
-    """Bandwidth accounting for one repair event."""
+    """The traffic one repair moved, counted as it was replayed.
 
-    failed: int
+    ``history[i]`` of the cluster is the repair behind ``ledger.records[i]``.
+    """
+
     stripes: int
     symbols_downloaded: int
-    bound_symbols: Fraction
-    naive_symbols: int
-    retries: int
 
 
 @dataclass
@@ -138,9 +138,9 @@ def fail_and_repair(
 
     The vector-level repair runs once; each stripe then replays the
     transcript's downloads against the helpers' stored symbols.  The
-    ledger gains one record: k+1 symbols per stripe moved, against the
-    cut-bound minimum and the naive 2k-per-stripe baseline.  The cluster
-    changes only after the whole replay has succeeded.
+    history gains the transcript and the ledger the symbols counted: one
+    per helper per stripe.  The cluster changes only after the whole
+    replay has succeeded.
     """
     state = cluster.state
     if helpers is None:
@@ -158,22 +158,11 @@ def fail_and_repair(
         sym_u, sym_v = rebuild_symbols(new_state, symbols, transcript)
         u_plane.append(sym_u)
         v_plane.append(sym_v)
-    n_stripes = len(cluster.stripes)
-    record = RepairRecord(
-        failed=failed,
-        stripes=n_stripes,
-        symbols_downloaded=downloaded,
-        bound_symbols=cut_bound(2 * state.k, state.k, state.k + 1) * n_stripes
-        if n_stripes
-        else Fraction(0),
-        naive_symbols=2 * state.k * n_stripes,
-        retries=transcript.retries,
-    )
 
     cluster.node_store[failed] = (u_plane, v_plane)
     cluster.state = new_state
     cluster.history.append(transcript)
-    cluster.ledger.records.append(record)
+    cluster.ledger.records.append(RepairRecord(len(cluster.stripes), downloaded))
     return cluster
 
 
@@ -295,14 +284,12 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         raise BadShape(f"rounds must be >= 0, got {rounds}")
     state0_u = cluster.state.u_cols
     epoch0 = cluster.state.epoch
-    first_record = len(cluster.ledger.records)
-    histogram: Counter[int] = Counter()
+    first = len(cluster.history)
     mds_checks = systematic_checks = decode_checks = 0
 
     for _ in range(rounds):
         failed = rng.randrange(cluster.state.n) + 1
         fail_and_repair(cluster, failed, rng)
-        histogram[cluster.history[-1].retries] += 1
 
         state = cluster.state
         violation = find_mds_violation(state)
@@ -333,19 +320,22 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
                 )
         decode_checks += 1
 
-    records = cluster.ledger.records[first_record:]
+    k = cluster.state.k
+    retries = [t.retries for t in cluster.history[first:]]
+    records = cluster.ledger.records[first:]
+    moved = sum(r.stripes for r in records)  # stripes rebuilt over the campaign
     return CampaignReport(
         rounds=rounds,
         n=cluster.state.n,
-        k=cluster.state.k,
+        k=k,
         stripes=len(cluster.stripes),
         epoch=cluster.state.epoch,
-        retries=sum(r.retries for r in records),
-        retry_histogram=dict(histogram),
+        retries=sum(retries),
+        retry_histogram=dict(Counter(retries)),
         downloaded_symbols=sum(r.symbols_downloaded for r in records),
-        bound_symbols=sum((r.bound_symbols for r in records), Fraction(0)),
-        naive_symbols=sum(r.naive_symbols for r in records),
-        ratio=Fraction(cluster.state.k + 1, 2 * cluster.state.k),
+        bound_symbols=cut_bound(2 * k, k, k + 1) * moved,
+        naive_symbols=2 * k * moved,
+        ratio=Fraction(k + 1, 2 * k),
         mds_checks=mds_checks,
         systematic_checks=systematic_checks,
         decode_checks=decode_checks,

@@ -10,8 +10,6 @@ constructive repair witnesses.
 
 from __future__ import annotations
 
-from mdsrepair.repair import RepairDraw
-
 
 def clmul_reduce(a: int, b: int, m: int, poly: int) -> int:
     """Carry-less polynomial product of a and b, reduced mod poly."""
@@ -124,8 +122,8 @@ def pinned_eta(state, failed: int, helpers, fixed, values) -> list[int]:
     return eta
 
 
-def subset_witness(state, failed: int, helpers, subset) -> RepairDraw:
-    """A draw guaranteed to clear one given (2k-1)-subset of the retained columns.
+def subset_witness(state, failed: int, helpers, subset) -> tuple:
+    """A draw (alpha1, beta1, rho) that clears one (2k-1)-subset of retained columns.
 
     Constructive existence argument: the 2k-1 retained columns in
     ``subset`` cannot cover all 2k+2 helper columns, so some helper has its
@@ -150,5 +148,5 @@ def subset_witness(state, failed: int, helpers, subset) -> RepairDraw:
             continue
         eta = pinned_eta(state, failed, helpers, (2 * t, 2 * t + 1), pinned)
         rho = tuple(1 if i == t else 0 for i in range(state.k + 1))
-        return RepairDraw(alpha1=eta[0], beta1=eta[1], rho=rho)
+        return eta[0], eta[1], rho
     raise AssertionError("no helper column outside the subset; counting argument violated")

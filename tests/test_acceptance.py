@@ -161,9 +161,9 @@ def test_criterion_6_witness_suite(gf256):
     kept = retained_columns(state, failed)
     checked = 0
     for subset in combinations(range(7), 3):
-        draw = subset_witness(state, failed, helpers, subset)
-        alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
-        v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+        a1, b1, rho = subset_witness(state, failed, helpers, subset)
+        alpha, beta = solve_coefficients(state, failed, helpers, a1, b1)
+        v_new = combine_replacement(state, helpers, alpha, beta, rho)
         block = [kept[i] for i in subset] + [v_new]
         assert det(gf256, block) != 0, subset
         checked += 1

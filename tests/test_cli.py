@@ -377,6 +377,25 @@ def test_golden_state_files(tmp_path, capsys, name):
     assert run(capsys, "verify", str(golden)) == (0, verified, "")
 
 
+# report file -> simulate flags; EMPTY names an empty input file (zero stripes)
+SIMULATE_GOLDEN = {
+    "simulate_4_2_gf256_seed1.txt": "--n 4 --k 2 --field gf256 --rounds 40 --seed 1",
+    "simulate_6_3_gf65536_seed2.txt": "--n 6 --k 3 --field gf65536 --rounds 10 --seed 2",
+    "simulate_empty_input.txt": "--n 4 --k 2 --field gf256 --rounds 5 --seed 3 --input EMPTY",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+def test_golden_simulate_reports(tmp_path, capsys, name):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    argv = SIMULATE_GOLDEN[name].replace("EMPTY", str(empty)).split()
+    report = tmp_path / "report.txt"
+    golden = (DATA / name).read_text()
+    assert run(capsys, "simulate", *argv, "--report", str(report)) == (0, golden, "")
+    assert report.read_text() == golden
+
+
 def test_verify_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_bytes(b"\xff\xfe")

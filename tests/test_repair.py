@@ -21,6 +21,7 @@ from mdsrepair.repair import (
     find_replacement_conflict,
     rebuild_symbols,
     repair,
+    repair_step,
     retained_columns,
     solve_coefficients,
 )
@@ -150,7 +151,7 @@ def test_repair_preserves_mds_and_changes_one_column():
     changed = [i for i in range(4) if state2.v_cols[i] != STATE.v_cols[i]]
     assert changed == [FAILED - 1]
     assert state2.v_cols[FAILED - 1] == t.v_new
-    assert len(t.draw.rho) == STATE.k + 1  # k+3 drawn coefficients in total
+    assert len(t.rho) == STATE.k + 1  # k+3 drawn coefficients in total
 
 
 def test_repair_same_node_twice_keeps_u_column():
@@ -181,6 +182,21 @@ def test_repair_helper_validation():
         repair(STATE, FAILED, (1, 2, 9), rng)  # out of range
     with pytest.raises(BadHelpers):
         repair(STATE, 99, (1, 2, 3), rng)  # failed out of range
+
+
+def test_duplicate_helpers_named_before_bad_ids():
+    # duplicates are found by equality, so unhashable ids cannot hide them
+    for helpers in ((1, 1, 9), ([2], [2], 3)):
+        with pytest.raises(BadHelpers, match="duplicate helpers"):
+            repair(STATE, FAILED, helpers, random.Random(0))
+
+
+@pytest.mark.parametrize("failed", [0, 5, 9, -1, 2.0, "x", [1]])
+def test_failed_id_that_is_not_a_node_is_rejected(failed):
+    with pytest.raises(BadHelpers, match=r"outside 1\.\.4"):
+        retained_columns(STATE, failed)
+    with pytest.raises(BadHelpers, match=r"outside 1\.\.4"):
+        find_replacement_conflict(STATE, failed, STATE.v_cols[3])
 
 
 def test_repair_unsupported_tiny_shape():
@@ -225,9 +241,9 @@ def test_subset_witness_every_subset_4_2():
     kept = retained_columns(STATE, FAILED)
     count = 0
     for subset in combinations(range(7), 3):
-        draw = subset_witness(STATE, FAILED, HELPERS, subset)
-        alpha, beta = solve_coefficients(STATE, FAILED, HELPERS, draw.alpha1, draw.beta1)
-        v_new = combine_replacement(STATE, HELPERS, alpha, beta, draw.rho)
+        a1, b1, rho = subset_witness(STATE, FAILED, HELPERS, subset)
+        alpha, beta = solve_coefficients(STATE, FAILED, HELPERS, a1, b1)
+        v_new = combine_replacement(STATE, HELPERS, alpha, beta, rho)
         block = [kept[i] for i in subset] + [v_new]
         assert det(GF256, block) != 0, subset
         count += 1
@@ -236,13 +252,13 @@ def test_subset_witness_every_subset_4_2():
 
 def test_subset_witness_prescription_round_trip():
     subset = (0, 1, 2)  # u1,u2,u3: helper 1's v is free
-    draw = subset_witness(STATE, FAILED, HELPERS, subset)
-    alpha, beta = solve_coefficients(STATE, FAILED, HELPERS, draw.alpha1, draw.beta1)
-    picks = [t for t, r in enumerate(draw.rho) if r]
-    assert len(picks) == 1 and draw.rho[picks[0]] == 1
+    a1, b1, rho = subset_witness(STATE, FAILED, HELPERS, subset)
+    alpha, beta = solve_coefficients(STATE, FAILED, HELPERS, a1, b1)
+    picks = [t for t, r in enumerate(rho) if r]
+    assert len(picks) == 1 and rho[picks[0]] == 1
     t = picks[0]
     assert (alpha[t], beta[t]) in {(0, 1), (1, 0)}
-    v_new = combine_replacement(STATE, HELPERS, alpha, beta, draw.rho)
+    v_new = combine_replacement(STATE, HELPERS, alpha, beta, rho)
     h = HELPERS[t]
     if (alpha[t], beta[t]) == (0, 1):
         assert v_new == STATE.v_cols[h - 1]
@@ -253,9 +269,9 @@ def test_subset_witness_prescription_round_trip():
 def test_subset_witness_skips_fully_covered_helper():
     # u1 is position 0, v1 is position 4 in the retained ordering
     subset = (0, 1, 4)
-    draw = subset_witness(STATE, FAILED, HELPERS, subset)
-    assert draw.rho[0] == 0  # helper 1 fully inside the subset: not chosen
-    assert sum(1 for r in draw.rho if r) == 1
+    _, _, rho = subset_witness(STATE, FAILED, HELPERS, subset)
+    assert rho[0] == 0  # helper 1 fully inside the subset: not chosen
+    assert sum(1 for r in rho if r) == 1
 
 
 def helper_symbols(state, stripe, helpers):
@@ -293,7 +309,7 @@ def test_repair_on_6_3(gf65536):
     rng = random.Random(31)
     state2, t = repair(state, 6, (1, 2, 3, 4), rng)
     assert find_mds_violation(state2) is None
-    assert len(t.alpha) == len(t.beta) == len(t.draw.rho) == 4
+    assert len(t.alpha) == len(t.beta) == len(t.rho) == 4
 
 
 def test_transcripts_satisfy_their_defining_identities():
@@ -304,11 +320,14 @@ def test_transcripts_satisfy_their_defining_identities():
     for _ in range(20):
         failed = rng.randrange(4) + 1
         helpers = default_helpers(state, failed)
+        before = state
         state, t = repair(state, failed, helpers, rng)
         assert blend_sum(state, t.helpers, t.alpha, t.beta) == state.u_cols[failed - 1]
-        recombined = combine_replacement(state, t.helpers, t.alpha, t.beta, t.draw.rho)
+        recombined = combine_replacement(state, t.helpers, t.alpha, t.beta, t.rho)
         assert recombined == t.v_new == state.v_cols[failed - 1]
-        assert t.alpha[0] == t.draw.alpha1 and t.beta[0] == t.draw.beta1
+        # alpha[0], beta[0] and rho are the draw: it alone rebuilds the repair
+        draw = (t.alpha[0], t.beta[0], t.rho)
+        assert repair_step(before, failed, helpers, draw, t.retries) == (state, t)
 
 
 def test_acceptance_scan_equivalent_to_full_mds_scan():
@@ -352,9 +371,9 @@ def test_subset_witness_every_subset_6_3(gf65536):
     assert len(kept) == 11
     count = 0
     for subset in combinations(range(11), 5):
-        draw = subset_witness(state, failed, helpers, subset)
-        alpha, beta = solve_coefficients(state, failed, helpers, draw.alpha1, draw.beta1)
-        v_new = combine_replacement(state, helpers, alpha, beta, draw.rho)
+        a1, b1, rho = subset_witness(state, failed, helpers, subset)
+        alpha, beta = solve_coefficients(state, failed, helpers, a1, b1)
+        v_new = combine_replacement(state, helpers, alpha, beta, rho)
         block = [kept[i] for i in subset] + [v_new]
         assert det(gf65536, block) != 0, subset
         count += 1

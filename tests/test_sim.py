@@ -26,6 +26,7 @@ from mdsrepair.errors import (
 from mdsrepair.field import GF
 from mdsrepair.repair import default_helpers, repair, solve_coefficients
 from mdsrepair.sim import (
+    RepairRecord,
     campaign,
     check_conservation,
     extract,
@@ -123,10 +124,8 @@ def test_fail_and_repair_ledger_and_symbols():
     fail_and_repair(cluster, 3, rng)
     record = cluster.ledger.records[-1]
     stripes = len(cluster.stripes)
-    assert record.failed == 3
-    assert record.symbols_downloaded == 3 * stripes  # k+1 per stripe
-    assert record.bound_symbols == Fraction(3) * stripes
-    assert record.naive_symbols == 4 * stripes
+    assert cluster.history[-1].failed == 3
+    assert record == RepairRecord(stripes, 3 * stripes)  # k+1 symbols per stripe
     # u symbols are rebuilt exactly; v symbols follow the functional model
     assert cluster.node_store[3][0] == before[3][0]
     for node in (1, 2, 4):
@@ -405,6 +404,9 @@ def test_control_plane_call_counts(monkeypatch, n, k, field, seed, rejected):
     (lambda c, rng: default_helpers(c.state, "x"), BadHelpers),
     (lambda c, rng: fail_and_repair(c, "x", rng), BadHelpers),
     (lambda c, rng: fail_and_repair(c, 2.0, rng), BadHelpers),
+    (lambda c, rng: decode(c.state, ([1], 2), (0,) * 4), BadShape),
+    (lambda c, rng: repair(c.state, 1, ([2], 3, 4), rng), BadHelpers),
+    (lambda c, rng: fail_and_repair(c, 1, rng, helpers=([2], 3, 4)), BadHelpers),
 ])
 def test_bad_node_ids_raise_typed_errors(call, error):
     """A node id that is not an int in 1..n fails typed, changing nothing."""
