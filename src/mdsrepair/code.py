@@ -106,6 +106,8 @@ def init_systematic(n: int, k: int, field: GF) -> CodeState:
     Identity columns become u_1..u_2k.  The 2n-2k Cauchy columns fill
     u_(2k+1)..u_n and then v_1..v_n, in that order.
     """
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise BadShape(f"n and k must be ints, got n={n!r}, k={k!r}")
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
     if 2 * k > n:
@@ -148,13 +150,27 @@ def first_singular(gf: GF, cols, size: int, extra=()) -> tuple[int, ...] | None:
     """First ``size``-subset S of ``cols`` with det([S | extra]) == 0, or None.
 
     The one subset scan behind both MDS checks.  Subsets are positions
-    into ``cols`` in lexicographic order and the scan stops at the first
-    zero determinant.  det of the transpose equals det of the matrix, so
-    the columns are fed to det directly as rows.
+    into ``cols`` in lexicographic order, each costs one det, and the
+    scan stops at the first zero.  A unit column of S (one nonzero entry
+    c, in row r) is struck out together with row r: Laplace expansion
+    along it multiplies the det by c (no sign in characteristic 2), so
+    zero stays zero and det runs on the kept rows of the other columns
+    and ``extra`` alone.  A second unit column on a struck row stays in,
+    as an all-zero column of the reduced matrix, so its det is 0 as S's is.
     """
     extra = list(extra)
+    supports = [sum(1 << r for r, e in enumerate(col) if e) for col in cols]
+    unit = [s if s & (s - 1) == 0 else 0 for s in supports]  # a unit column's row bit
     for subset in combinations(range(len(cols)), size):
-        if matrix.det(gf, [cols[i] for i in subset] + extra) == 0:
+        struck, rest = 0, []
+        for i in subset:
+            bit = unit[i]
+            if bit and not struck & bit:
+                struck |= bit
+            else:
+                rest.append(cols[i])
+        m = [row for r, row in enumerate(zip(*rest, *extra)) if not struck >> r & 1]
+        if matrix.det(gf, m) == 0:
             return subset
     return None
 

@@ -41,6 +41,10 @@ class FieldTooSmall(MdsRepairError, ValueError):
     """Field order is insufficient for the requested code shape."""
 
 
+class NotASymbol(MdsRepairError, ValueError):
+    """A value that must be a field symbol is not an int in 0..|F|-1."""
+
+
 class BadHelpers(MdsRepairError, ValueError):
     """Helper set is malformed (wrong size, duplicates, includes failed)."""
 

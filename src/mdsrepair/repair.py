@@ -37,6 +37,7 @@ from .errors import (
     BadHelpers,
     DimensionMismatch,
     InvariantViolation,
+    NotASymbol,
     RetriesExhausted,
     UnsupportedShape,
 )
@@ -72,7 +73,10 @@ def validate_helpers(state: CodeState, failed: int, helpers) -> tuple[int, ...]:
             f"repair needs k+1={state.k + 1} surviving helpers; "
             f"n={state.n} < k+2={state.k + 2}"
         )
-    helpers = tuple(helpers)
+    try:
+        helpers = tuple(helpers)
+    except TypeError:
+        raise BadHelpers(f"helpers must be node ids, got {helpers!r}") from None
     if len(helpers) != state.k + 1:
         raise BadHelpers(f"need exactly k+1={state.k + 1} helpers, got {len(helpers)}")
     if any(h in helpers[:i] for i, h in enumerate(helpers)):  # ids may be unhashable
@@ -105,6 +109,8 @@ def solve_coefficients(
     """
     helpers = validate_helpers(state, failed, helpers)
     gf = state.field
+    if not all(isinstance(x, int) and 0 <= x < gf.order for x in (alpha1, beta1)):
+        raise NotASymbol(f"alpha1={alpha1!r} or beta1={beta1!r} outside 0..{gf.order - 1}")
     (u1, v1), *others = [state.node_columns(h) for h in helpers]
     rhs = [
         t ^ gf.mul(alpha1, a) ^ gf.mul(beta1, b)
@@ -161,6 +167,8 @@ def find_replacement_conflict(
         raise DimensionMismatch(
             f"replacement column must have 2k={state.dim} entries, got {len(v_new)}"
         )
+    if not all(isinstance(x, int) and 0 <= x < state.field.order for x in v_new):
+        raise NotASymbol(f"replacement column {tuple(v_new)} is not in F^{state.dim}")
     return first_singular(
         state.field, retained_columns(state, failed), state.dim - 1, extra=(tuple(v_new),)
     )

@@ -180,7 +180,10 @@ def extract(cluster: Cluster, via) -> bytes:
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
         stripes = [read_systematic(state, symbols) for symbols in zip(*planes)]
         return _unpack_stripes(stripes, state.field, cluster.orig_len)
-    nodes = list(via)
+    try:
+        nodes = list(via)
+    except TypeError:
+        raise DimensionMismatch(f"via {via!r} is neither node ids nor 'systematic'") from None
     if len(nodes) < state.k:
         raise TooFewNodes(f"need k={state.k} nodes, got {len(nodes)}")
     if len(nodes) != state.k:
@@ -278,10 +281,11 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     so the same position can churn repeatedly); helpers default to the
     lowest-numbered survivors.  After every round the exhaustive MDS scan,
     the systematic read-back, and one spot decode must pass, otherwise
-    InvariantViolation is raised.  A negative ``rounds`` raises BadShape.
+    InvariantViolation is raised.  A ``rounds`` that is not an int >= 0
+    raises BadShape.
     """
-    if rounds < 0:
-        raise BadShape(f"rounds must be >= 0, got {rounds}")
+    if not isinstance(rounds, int) or rounds < 0:
+        raise BadShape(f"rounds must be an int >= 0, got {rounds!r}")
     state0_u = cluster.state.u_cols
     epoch0 = cluster.state.epoch
     first = len(cluster.history)

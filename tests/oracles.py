@@ -5,10 +5,17 @@ bitwise carry-less multiply plus explicit reduction, inverses come from
 exhaustive search over that multiply (or from a^(2^m - 2) by repeated
 squaring), and determinants come from Laplace cofactor expansion on top
 of it, as do matrix products and the Gauss-Jordan solve behind the
-constructive repair witnesses.
+constructive repair witnesses.  The one exception is ``plain_first_singular``,
+the subset scan without the unit-column strike: it calls the library's
+``matrix.det`` (itself checked against ``cofactor_det``) so that tests can
+hold the fast scan to the same subsets and the same number of dets.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+
+from mdsrepair import matrix
 
 
 def clmul_reduce(a: int, b: int, m: int, poly: int) -> int:
@@ -50,6 +57,20 @@ def cofactor_det(rows, m: int, poly: int) -> int:
         ]
         acc ^= clmul_reduce(v, cofactor_det(minor, m, poly), m, poly)
     return acc
+
+
+def plain_first_singular(gf, cols, size: int, extra=()) -> tuple[int, ...] | None:
+    """First ``size``-subset S of ``cols`` with det([S | extra]) == 0, or None.
+
+    Lexicographic order, one full 2k x 2k ``matrix.det`` per subset (looked
+    up on the module at each call, so a test can count it), the columns fed
+    as rows.
+    """
+    extra = list(extra)
+    for subset in combinations(range(len(cols)), size):
+        if matrix.det(gf, [cols[i] for i in subset] + extra) == 0:
+            return subset
+    return None
 
 
 def mat_vec(rows, x, m: int, poly: int) -> list[int]:

@@ -5,8 +5,9 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mdsrepair import matrix
 from mdsrepair.code import (
     all_columns,
     column_label,
@@ -14,15 +15,18 @@ from mdsrepair.code import (
     dot,
     encode,
     find_mds_violation,
+    first_singular,
     init_systematic,
     read_systematic,
 )
 from mdsrepair.errors import BadShape, DimensionMismatch, FieldTooSmall
 from mdsrepair.field import GF
+from mdsrepair.repair import default_helpers, repair
 
-from oracles import cofactor_det
+from oracles import cofactor_det, plain_first_singular
 
 GF256 = GF(8)
+GF65536 = GF(16)
 STATE_4_2 = init_systematic(4, 2, GF256)
 
 stripes_4 = st.lists(st.integers(0, 255), min_size=4, max_size=4).map(tuple)
@@ -61,6 +65,12 @@ def test_init_rejects_bad_shapes():
         init_systematic(3, 2, GF256)
     with pytest.raises(BadShape):
         init_systematic(4, 0, GF256)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2.0), (4.0, 2), ("4", 2)])
+def test_init_rejects_non_int_shapes(n, k):
+    with pytest.raises(BadShape, match="must be ints"):
+        init_systematic(n, k, GF256)
 
 
 def test_init_rejects_small_field(gf65536):
@@ -225,3 +235,101 @@ def test_init_rejects_absurd_shapes_fast(monkeypatch, gf65536, n, k, message):
         init_systematic(n, k, gf65536)
     assert time.perf_counter() - start < 1.0
     assert message in str(exc.value)
+
+
+def counted_dets(scan, *args):
+    """(scan(*args), the matrix sizes of the dets it ran, in call order)."""
+    sizes = []
+    det = matrix.det
+
+    def counting(gf, m):
+        sizes.append(len(m))
+        return det(gf, m)
+
+    matrix.det = counting
+    try:
+        return scan(*args), sizes
+    finally:
+        matrix.det = det
+
+
+def test_scan_strikes_unit_columns():
+    # u_1..u_4 are the unit columns: each one in a subset takes a row and
+    # a column off that subset's det, and the det count stays C(8, 4)
+    cols = all_columns(STATE_4_2)
+    assert counted_dets(first_singular, GF256, cols, 4) == (
+        None,
+        [4 - sum(i < 4 for i in subset) for subset in combinations(range(8), 4)],
+    )
+
+
+def test_scan_two_unit_columns_on_one_row():
+    # 3*e_1 beside u_1: the first subset holding both is singular.  u_1..u_3
+    # take rows 1..3, and 3*e_1 stays in as the 1 x 1 zero matrix on row 4
+    cols = all_columns(STATE_4_2)[:7] + ((3, 0, 0, 0),)
+    got, sizes = counted_dets(first_singular, GF256, cols, 4)
+    assert got == (0, 1, 2, 7)
+    assert sizes[-1] == 1 and len(sizes) == list(combinations(range(8), 4)).index(got) + 1
+
+
+def plant(rng, cols, kind, gf):
+    """Overwrite one or two columns of ``cols`` (a list) with a planted case."""
+    dim = len(cols[0])
+    p, q = rng.sample(range(len(cols)), 2)
+    scale = rng.randrange(2, gf.order)
+
+    def unit(row):
+        return tuple(scale if r == row else 0 for r in range(dim))
+
+    if kind == "duplicate":
+        cols[p] = cols[q]
+    elif kind == "scaled":
+        cols[p] = tuple(gf.mul(scale, e) for e in cols[q])
+    elif kind == "zero":
+        cols[p] = (0,) * dim
+    elif kind == "scaled unit":
+        cols[p] = unit(rng.randrange(dim))
+    elif kind == "unit pair":
+        row = rng.randrange(dim)
+        cols[p], cols[q] = unit(row), tuple(gf.mul(scale, e) for e in unit(row))
+
+
+SCAN_STATES = {(4, 2): STATE_4_2, (6, 3): init_systematic(6, 3, GF65536)}
+
+
+@pytest.mark.parametrize(
+    "kind", ["none", "duplicate", "scaled", "zero", "scaled unit", "unit pair"]
+)
+@settings(max_examples=12)
+@given(
+    shape=st.sampled_from(sorted(SCAN_STATES)),
+    seed=st.integers(0, 2**32 - 1),
+    with_extra=st.booleans(),
+)
+def test_scan_matches_full_det_oracle(kind, shape, seed, with_extra):
+    """The strike returns the oracle's subset after the oracle's det count,
+    on drawn repaired states with planted columns, with and without extra."""
+    rng = random.Random(seed)
+    state = SCAN_STATES[shape]
+    for _ in range(rng.randrange(3)):
+        failed = rng.randrange(state.n) + 1
+        state = repair(state, failed, default_helpers(state, failed), rng)[0]
+    gf, size = state.field, state.dim
+    cols = list(all_columns(state))
+    plant(rng, cols, kind, gf)
+    extra = ()
+    if with_extra:
+        size -= 1
+        dropped = cols.pop(rng.randrange(len(cols)))
+        extra = (rng.choice([
+            dropped,
+            tuple(rng.randrange(gf.order) for _ in range(state.dim)),
+            tuple(rng.randrange(1, gf.order) if r == 0 else 0 for r in range(state.dim)),
+        ]),)
+    got, sizes = counted_dets(first_singular, gf, cols, size, extra)
+    want, full_sizes = counted_dets(plain_first_singular, gf, cols, size, extra)
+    assert got == want
+    assert len(sizes) == len(full_sizes)
+    assert all(s <= state.dim for s in sizes) and set(full_sizes) <= {state.dim}
+    if kind != "none" and kind != "scaled unit" and not with_extra:
+        assert got is not None

@@ -10,6 +10,8 @@ from mdsrepair.errors import (
     BadHelpers,
     DimensionMismatch,
     InvariantViolation,
+    MdsRepairError,
+    NotASymbol,
     RetriesExhausted,
     UnsupportedShape,
 )
@@ -24,6 +26,7 @@ from mdsrepair.repair import (
     repair_step,
     retained_columns,
     solve_coefficients,
+    validate_helpers,
 )
 
 from oracles import pinned_eta, subset_witness
@@ -197,6 +200,29 @@ def test_failed_id_that_is_not_a_node_is_rejected(failed):
         retained_columns(STATE, failed)
     with pytest.raises(BadHelpers, match=r"outside 1\.\.4"):
         find_replacement_conflict(STATE, failed, STATE.v_cols[3])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_replacement_conflict(STATE, 1, (-1, 1, 1, 1)),
+    lambda: find_replacement_conflict(STATE, 1, (999, 1, 1, 1)),
+    lambda: find_replacement_conflict(STATE, 1, (1.5, 1, 1, 1)),
+    lambda: solve_coefficients(STATE, 1, (2, 3, 4), 999, 1),
+    lambda: solve_coefficients(STATE, 1, (2, 3, 4), 1, -1),
+], ids=["v_new -1", "v_new 999", "v_new 1.5", "alpha1 999", "beta1 -1"])
+def test_out_of_field_symbols_raise_typed(call):
+    # unchecked, -1 would index the log table from its end and pass the scan
+    with pytest.raises(NotASymbol, match=r"not in F\^4|outside 0\.\.255"):
+        call()
+    assert issubclass(NotASymbol, MdsRepairError) and issubclass(NotASymbol, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_helpers(STATE, 1, 5),
+    lambda: repair(STATE, 1, 5, random.Random(0)),
+])
+def test_helpers_that_are_not_iterable_raise_bad_helpers(call):
+    with pytest.raises(BadHelpers, match="must be node ids"):
+        call()
 
 
 def test_repair_unsupported_tiny_shape():

@@ -239,6 +239,35 @@ def test_campaign_rejects_negative_rounds():
     assert cluster.state.epoch == 0
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda c, rng: fail_and_repair(c, 1, rng, helpers=5), BadHelpers),
+    (lambda c, rng: extract(c, 5), DimensionMismatch),
+    (lambda c, rng: extract(c, None), DimensionMismatch),
+    (lambda c, rng: campaign(c, 1.5, rng), BadShape),
+    (lambda c, rng: campaign(c, "2", rng), BadShape),
+], ids=["helpers=5", "extract 5", "extract None", "rounds 1.5", "rounds '2'"])
+def test_wrong_type_arguments_raise_typed_errors(call, error):
+    """Each fails typed before it changes anything."""
+    cluster = ingest(b"0123456789", 4, 2, GF256)
+    before = copy.deepcopy(cluster)
+    with pytest.raises(error):
+        call(cluster, random.Random(2))
+    assert cluster == before
+
+
+def test_campaign_8_4_audits_every_round(gf65536):
+    # the exhaustive 12,870-subset audit runs after each of these rounds
+    data = random.Random(84).randbytes(40)
+    cluster = ingest(data, 8, 4, gf65536)
+    report = campaign(cluster, 3, random.Random(8))
+    assert report.epoch == report.mds_checks == report.decode_checks == 3
+    assert report.downloaded_symbols == 3 * 5 * len(cluster.stripes)
+    assert report.ratio == Fraction(5, 8)
+    check_conservation(cluster)
+    assert extract(cluster, range(5, 9)) == data
+    assert extract(cluster, "systematic") == data
+
+
 def test_campaign_ratio_for_k3(gf65536):
     cluster = ingest(b"abcdef" * 4, 6, 3, gf65536)
     report = campaign(cluster, 3, random.Random(2))
@@ -309,7 +338,8 @@ def test_per_stripe_call_counts(monkeypatch, n, k, field, size):
 
 
 @pytest.mark.parametrize(
-    "n, k, field, seed, rejected", [(4, 2, GF256, 9, 2), (6, 3, GF65536, 2, 0)]
+    "n, k, field, seed, rejected",
+    [(4, 2, GF256, 9, 2), (6, 3, GF65536, 2, 0), (8, 4, GF65536, 4, 0)],
 )
 def test_control_plane_call_counts(monkeypatch, n, k, field, seed, rejected):
     """Dets per scan and one solve, combine and acceptance scan per draw,
