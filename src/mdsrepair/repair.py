@@ -129,6 +129,8 @@ def combine_replacement(state: CodeState, helpers, alpha, beta, rho) -> Column:
             f"{len(helpers)}/{len(alpha)}/{len(beta)}/{len(rho)}"
         )
     gf = state.field
+    if not all(isinstance(x, int) and 0 <= x < gf.order for x in (*alpha, *beta, *rho)):
+        raise NotASymbol(f"alpha/beta/rho {alpha}/{beta}/{rho} outside 0..{gf.order - 1}")
     acc = [0] * state.dim
     for h, a, b, r in zip(helpers, alpha, beta, rho):
         if r == 0:

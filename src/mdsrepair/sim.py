@@ -2,13 +2,14 @@
 
 Bytes are packed into m-bit symbols (big-endian, m/8 bytes each), grouped
 into stripes of 2k symbols, and every node stores two symbol planes: its
-u symbols and its v symbols, one of each per stripe.  Each per-stripe
-call (encode, rebuild, decode, systematic read) is fed by zipping the
-planes it needs.  A repair runs once at the vector level (one transcript
-per failure, kept in ``history``) and is then replayed per stripe at
-symbol granularity, using only surviving nodes' stored symbols -- the
-ledger counts exactly what moved.  Reports derive the rest (retries, the
-cut bound, the naive baseline) from the transcripts, k and stripe counts.
+u symbols and its v symbols, one of each per stripe.  The cluster keeps
+the ingested bytes once; each per-stripe call (encode, rebuild, decode,
+systematic read) streams its stripes from them or from the planes.  A
+repair runs once at the vector level (one transcript per failure, kept in
+``history``) and is replayed per stripe, using only surviving nodes'
+stored symbols -- the ledger counts exactly what moved.  Reports derive
+retries, the cut bound and the naive baseline from the transcripts, k
+and stripe counts.
 
 A Cluster is owned by one logical task; repairs are strictly sequential.
 """
@@ -47,8 +48,6 @@ from .repair import (
     repair,
 )
 
-Stripe = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class RepairRecord:
@@ -68,63 +67,59 @@ class BandwidthLedger:
 
 @dataclass
 class Cluster:
-    """One simulated deployment: code state plus per-node symbol planes.
+    """One simulated deployment: code state, ingested bytes, node planes.
 
     node_store[node] is 1-based ``node``'s (u plane, v plane), two
     ``array.array`` (typecode "B" for GF(2^8), "H" for GF(2^16)) whose s-th
-    entries are x_s.u and x_s.v for stripe s.  The ``stripes`` list keeps
-    the ingested ground truth so invariant checks can compare against
-    recomputation; extraction never touches it.
+    entries are x_s.u and x_s.v for stripe s.  ``data`` is the ingested
+    bytes, the only ground truth that invariant checks compare against;
+    extraction reads only its length.
     """
 
     state: CodeState
-    stripes: list[Stripe]
+    data: bytes
     node_store: dict[int, tuple[array, array]]
-    orig_len: int
     ledger: BandwidthLedger = dc_field(default_factory=BandwidthLedger)
     history: list[RepairTranscript] = dc_field(default_factory=list)
+
+    @property
+    def stripes(self) -> list[tuple[int, ...]]:
+        """The zero-padded stripes, unpacked from ``data`` on each access."""
+        return list(_pack_stripes(self.data, self.state.k, self.state.field))
 
 
 def _typecode(field: GF) -> str:
     return "B" if field.m == 8 else "H"
 
 
-def _pack_stripes(data: bytes, k: int, field: GF) -> list[Stripe]:
+def _pack_stripes(data: bytes, k: int, field: GF):
     stride = 2 * k * (field.m // 8)
     padded = data + bytes(-len(data) % stride)
-    if field.m == 8:
-        syms = padded
-    else:
-        syms = struct.unpack(f">{len(padded) // 2}H", padded)
-    return list(zip(*[iter(syms)] * (2 * k)))
+    syms = padded if field.m == 8 else struct.unpack(f">{len(padded) // 2}H", padded)
+    return zip(*[iter(syms)] * (2 * k))
 
 
-def _unpack_stripes(stripes, field: GF, orig_len: int) -> bytes:
+def _unpack_stripes(stripes, field: GF, length: int) -> bytes:
     syms = chain.from_iterable(stripes)
     if field.m == 8:
-        return bytes(syms)[:orig_len]
+        return bytes(syms)[:length]
     syms = list(syms)
-    return struct.pack(f">{len(syms)}H", *syms)[:orig_len]
+    return struct.pack(f">{len(syms)}H", *syms)[:length]
 
 
 def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
     """Encode raw bytes across n fresh nodes.
 
-    The final stripe is zero-padded; the original byte length is recorded
-    so extraction is exact.  Empty input yields a valid zero-stripe
-    cluster.
+    The final stripe is zero-padded.  The cluster keeps its own copy of
+    the bytes, so extraction is exact whatever the caller later does to
+    them.  Empty input yields a valid zero-stripe cluster.
     """
     state = init_systematic(n, k, field)
     stripes = _pack_stripes(data, k, field)
     # one flat array of the encode outputs, then every 2n-th symbol per plane
     flat = array(_typecode(field), chain.from_iterable(map(encode, repeat(state), stripes)))
     planes = [flat[i :: 2 * n] for i in range(2 * n)]
-    return Cluster(
-        state=state,
-        stripes=stripes,
-        node_store=dict(enumerate(zip(planes[0::2], planes[1::2]), start=1)),
-        orig_len=len(data),
-    )
+    return Cluster(state, bytes(data), dict(enumerate(zip(planes[0::2], planes[1::2]), start=1)))
 
 
 def fail_and_repair(
@@ -162,7 +157,7 @@ def fail_and_repair(
     cluster.node_store[failed] = (u_plane, v_plane)
     cluster.state = new_state
     cluster.history.append(transcript)
-    cluster.ledger.records.append(RepairRecord(len(cluster.stripes), downloaded))
+    cluster.ledger.records.append(RepairRecord(len(u_plane), downloaded))
     return cluster
 
 
@@ -178,8 +173,8 @@ def extract(cluster: Cluster, via) -> bytes:
         if via != "systematic":
             raise DimensionMismatch(f"unknown extract mode {via!r}")
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
-        stripes = [read_systematic(state, symbols) for symbols in zip(*planes)]
-        return _unpack_stripes(stripes, state.field, cluster.orig_len)
+        stripes = map(read_systematic, repeat(state), zip(*planes))
+        return _unpack_stripes(stripes, state.field, len(cluster.data))
     try:
         nodes = list(via)
     except TypeError:
@@ -194,29 +189,29 @@ def extract(cluster: Cluster, via) -> bytes:
     if len(set(nodes)) != len(nodes):
         raise DimensionMismatch(f"duplicate node ids in {nodes}")
     planes = [p for node in nodes for p in cluster.node_store[node]]
-    stripes = [decode(state, nodes, symbols) for symbols in zip(*planes)]
-    return _unpack_stripes(stripes, state.field, cluster.orig_len)
+    stripes = map(decode, repeat(state), repeat(nodes), zip(*planes))
+    return _unpack_stripes(stripes, state.field, len(cluster.data))
 
 
 def check_conservation(cluster: Cluster) -> None:
     """Stored symbols must equal recomputation from the current state.
 
     An independent scalar check: ``dot`` of every column with every
-    ground-truth stripe, against the planes.
+    stripe unpacked from the ingested bytes, against the planes.
     """
     state = cluster.state
     gf = state.field
-    count = len(cluster.stripes)
+    stripes = cluster.stripes
     for node in range(1, state.n + 1):
         for name, col, plane in zip(
             "uv", state.node_columns(node), cluster.node_store[node]
         ):
-            if len(plane) != count:
+            if len(plane) != len(stripes):
                 raise InvariantViolation(
                     f"node {node} {name} plane holds {len(plane)} symbols, "
-                    f"expected {count}"
+                    f"expected {len(stripes)}"
                 )
-            for s, stripe in enumerate(cluster.stripes):
+            for s, stripe in enumerate(stripes):
                 if plane[s] != dot(gf, col, stripe):
                     raise InvariantViolation(
                         f"node {node} stripe {s} drifted from the code state"
@@ -287,7 +282,7 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     if not isinstance(rounds, int) or rounds < 0:
         raise BadShape(f"rounds must be an int >= 0, got {rounds!r}")
     state0_u = cluster.state.u_cols
-    epoch0 = cluster.state.epoch
+    stripes = cluster.stripes
     first = len(cluster.history)
     mds_checks = systematic_checks = decode_checks = 0
 
@@ -306,19 +301,19 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         if state.u_cols != state0_u:
             raise InvariantViolation(f"epoch {state.epoch}: u columns changed")
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
-        for s, (stripe, symbols) in enumerate(zip(cluster.stripes, zip(*planes))):
+        for s, (stripe, symbols) in enumerate(zip(stripes, zip(*planes))):
             if read_systematic(state, symbols) != stripe:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: systematic read of stripe {s} changed"
                 )
         systematic_checks += 1
 
-        if cluster.stripes:
+        if stripes:
             nodes = sorted(rng.sample(range(1, state.n + 1), state.k))
-            s = rng.randrange(len(cluster.stripes))
+            s = rng.randrange(len(stripes))
             symbols = [p[s] for node in nodes for p in cluster.node_store[node]]
             got = decode(state, nodes, symbols)
-            if got != cluster.stripes[s]:
+            if got != stripes[s]:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: decode via {nodes} of stripe {s} wrong"
                 )
@@ -332,7 +327,7 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         rounds=rounds,
         n=cluster.state.n,
         k=k,
-        stripes=len(cluster.stripes),
+        stripes=len(cluster.node_store[1][0]),
         epoch=cluster.state.epoch,
         retries=sum(retries),
         retry_histogram=dict(Counter(retries)),

@@ -208,7 +208,14 @@ def test_failed_id_that_is_not_a_node_is_rejected(failed):
     lambda: find_replacement_conflict(STATE, 1, (1.5, 1, 1, 1)),
     lambda: solve_coefficients(STATE, 1, (2, 3, 4), 999, 1),
     lambda: solve_coefficients(STATE, 1, (2, 3, 4), 1, -1),
-], ids=["v_new -1", "v_new 999", "v_new 1.5", "alpha1 999", "beta1 -1"])
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 1, 1), (1, 1, 1), (-1, 1, 1)),
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 1, 1), (1, 1, 1), (999, 1, 1)),
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 300, 1), (1, 1, 1), (1, 1, 1)),
+    lambda: repair_step(STATE, 1, (2, 3, 4), (1, 1, (-1, 1, 1)), 0),
+    lambda: repair_step(STATE, 1, (2, 3, 4), (1, 1, (999, 1, 1)), 0),
+], ids=["v_new -1", "v_new 999", "v_new 1.5", "alpha1 999", "beta1 -1",
+        "combine rho -1", "combine rho 999", "combine alpha 300",
+        "step rho -1", "step rho 999"])
 def test_out_of_field_symbols_raise_typed(call):
     # unchecked, -1 would index the log table from its end and pass the scan
     with pytest.raises(NotASymbol, match=r"not in F\^4|outside 0\.\.255"):

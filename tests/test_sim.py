@@ -5,7 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -61,6 +61,23 @@ def test_ingest_pads_partial_stripes():
     assert len(cluster.stripes) == 2
     assert cluster.stripes[1] == (0xFF, 0, 0, 0)
     assert extract(cluster, (2, 3)) == b"\xff" * 5
+
+
+def test_ingest_copies_its_input():
+    payload = bytes(range(13))
+    buf = bytearray(payload)
+    cluster = ingest(buf, 4, 2, GF256)
+    buf[0] ^= 0xFF
+    buf += b"later"
+    assert extract(cluster, (1, 3)) == payload
+    assert extract(cluster, "systematic") == payload
+    check_conservation(cluster)
+    # stripes are derived from the kept bytes: a fresh, zero-padded list per access
+    assert "stripes" not in {f.name for f in fields(cluster)}
+    assert cluster.stripes == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 0, 0, 0)]
+    cluster.stripes.clear()
+    assert len(cluster.stripes) == 4
+    assert ingest(bytearray(), 4, 2, GF256).stripes == []
 
 
 def test_ingest_round_trip_gf65536(gf65536):
@@ -298,6 +315,27 @@ def test_campaign_report_text_deterministic(gf65536):
         "ratio:",
     ):
         assert token in first
+
+
+def test_campaign_detects_a_flipped_systematic_symbol():
+    cluster = ingest(bytes(range(40)), 4, 2, GF256)
+    seed = 5
+    failed = random.Random(seed).randrange(4) + 1  # the round's first draw
+    node = failed % 4 + 1  # a node of 1..2k that the round does not rebuild
+    cluster.node_store[node][0][3] ^= 0x10
+    with pytest.raises(InvariantViolation, match="epoch 1: systematic read of stripe 3 changed"):
+        campaign(cluster, 1, random.Random(seed))
+
+
+def test_campaign_detects_a_corrupted_v_plane():
+    cluster = ingest(bytes(range(40)), 5, 2, GF256)
+    v_plane = cluster.node_store[5][1]  # node 5 is not read by the systematic check
+    for s in range(len(v_plane)):
+        v_plane[s] ^= 1
+    # seed 4 fails node 2 (helpers 1, 3, 4) and then spot-decodes via nodes 1 and 5
+    with pytest.raises(InvariantViolation, match=r"epoch 1: decode via \[1, 5\] of stripe 0 wrong"):
+        campaign(cluster, 1, random.Random(4))
+    assert cluster.history[-1].failed == 2
 
 
 @pytest.mark.parametrize("n, k, field, size", [(4, 2, GF256, 45), (6, 3, GF65536, 90)])
