@@ -85,6 +85,16 @@ def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
     return None
 
 
+def check_shape(n: int, k: int) -> None:
+    """Raise BadShape unless n and k are ints (not bools) with 1 <= k and 2k <= n."""
+    if not (type(n) is int and type(k) is int):
+        raise BadShape(f"n and k must be ints, got n={n!r}, k={k!r}")
+    if k < 1:
+        raise BadShape(f"k must be >= 1, got {k}")
+    if 2 * k > n:
+        raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
+
+
 def degree_bound(n: int, k: int) -> int:
     """Threshold d0 = 2 * C(2n-1, 2k-1); the field must satisfy |F| > d0.
 
@@ -92,10 +102,7 @@ def degree_bound(n: int, k: int) -> int:
     certifies one repair draw, hence (Schwartz-Zippel) the per-draw
     rejection probability is at most d0 / |F|.
     """
-    if k < 1:
-        raise BadShape(f"k must be >= 1, got {k}")
-    if 2 * k > n:
-        raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
+    check_shape(n, k)
     return 2 * math.comb(2 * n - 1, 2 * k - 1)
 
 

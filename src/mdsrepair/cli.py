@@ -38,7 +38,7 @@ import random
 import sys
 from pathlib import Path
 
-from .bounds import cut_bound, degree_bound, degree_bound_reaches
+from .bounds import check_shape, cut_bound, degree_bound, degree_bound_reaches
 from .code import (
     CodeState,
     column_label,
@@ -115,16 +115,12 @@ def dump_state_text(state: CodeState, history) -> str:
     return json.dumps(_state_doc(state, history), indent=2) + "\n"
 
 
-def _sym(field: GF, text) -> int:
-    value = int(text, 16)
-    if not 0 <= value < field.order:
-        raise ValueError(f"{text!r} is outside the field")
-    return value
-
-
 def _same(a, b) -> bool:
     """JSON equality: unlike ==, it tells 1.0 and true from 1."""
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    try:
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    except RecursionError:  # loaded just under the limit; canonical values nest 4 deep
+        return False
 
 
 def _mismatch(doc: dict, want: dict) -> str | None:
@@ -162,7 +158,7 @@ def load_state_text(text: str):
     """
     try:
         doc = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int past the digit limit
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, digit limit, deep nesting
         raise StateFileError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise StateFileError("top-level value must be an object")
@@ -185,8 +181,9 @@ def load_state_text(text: str):
             xi = raw["xi"]
             failed, retries = int(raw["failed"]), int(raw["retries"])
             helpers = tuple(int(h) for h in raw["helpers"])
-            a1, b1 = _sym(field, xi["alpha1"]), _sym(field, xi["beta1"])
-            draw = a1, b1, tuple(_sym(field, r) for r in xi["rho"])
+            # repair_step holds the draw to GF.is_symbol, as it does any caller's
+            a1, b1 = int(xi["alpha1"], 16), int(xi["beta1"], 16)
+            draw = a1, b1, tuple(int(r, 16) for r in xi["rho"])
             state, transcript = repair_step(state, failed, helpers, draw, retries)
         except (KeyError, TypeError, ValueError, OverflowError, MdsRepairError) as e:
             raise StateFileError(
@@ -303,8 +300,8 @@ def _cmd_simulate(args) -> int:
 
 def _printable_d0(n: int, k: int) -> int:
     """degree_bound(n, k), or BadShape when it has over D0_DIGITS digits."""
-    # a bad shape is named by degree_bound
-    if 1 <= k and 2 * k <= n and degree_bound_reaches(n, k, 10**D0_DIGITS):
+    check_shape(n, k)
+    if degree_bound_reaches(n, k, 10**D0_DIGITS):
         raise BadShape(
             f"d0 = 2*C(2n-1, 2k-1) for n={n}, k={k} has more than {D0_DIGITS} digits"
         )

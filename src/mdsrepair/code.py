@@ -4,7 +4,8 @@ Node i stores two symbols per stripe x: x.u_i and x.v_i (dot products over
 the field).  The per-stripe calls take and return plain symbols: ``encode``
 gives (x.u_1, x.v_1, ..., x.u_n, x.v_n), ``decode`` takes each chosen
 node's u symbol then its v symbol, and ``read_systematic`` takes the u
-symbols of nodes 1..2k.
+symbols of nodes 1..2k.  They trust the symbols: a ``GF.is_symbol`` test
+per stripe would cost the data path.
 
 The u columns are pinned forever; the v columns evolve as
 repairs happen.  The maintained invariant is that the 2n columns of
@@ -24,8 +25,8 @@ from functools import cached_property
 from itertools import combinations
 
 from . import matrix
-from .bounds import degree_bound, degree_bound_reaches
-from .errors import BadShape, DimensionMismatch, FieldTooSmall
+from .bounds import check_shape, degree_bound, degree_bound_reaches
+from .errors import BadShape, DimensionMismatch, FieldTooSmall, TooFewNodes
 from .field import GF
 
 Column = tuple[int, ...]
@@ -52,8 +53,25 @@ class CodeState:
         return 2 * self.k
 
     def is_node(self, node) -> bool:
-        """Whether ``node`` is a node id: an int in 1..n."""
-        return isinstance(node, int) and 1 <= node <= self.n
+        """Whether ``node`` is a node id: an int, not a bool, in 1..n."""
+        return type(node) is int and 1 <= node <= self.n
+
+    def decode_nodes(self, nodes) -> tuple[int, ...]:
+        """``nodes`` as a tuple of k distinct node ids; the rule decode and extract share."""
+        try:
+            nodes = tuple(nodes)
+        except TypeError:
+            raise DimensionMismatch(f"nodes {nodes!r} are not node ids") from None
+        if len(nodes) < self.k:
+            raise TooFewNodes(f"need k={self.k} nodes, got {len(nodes)}")
+        if len(nodes) > self.k:
+            raise DimensionMismatch(f"decode takes k={self.k} nodes, got {len(nodes)}")
+        for node in nodes:
+            if not self.is_node(node):
+                raise BadShape(f"node id {node!r} outside 1..{self.n}")
+        if len(set(nodes)) != len(nodes):  # set() needs the ids checked above
+            raise DimensionMismatch(f"duplicate node ids in {nodes}")
+        return nodes
 
     def node_columns(self, node: int) -> tuple[Column, Column]:
         """(u, v) columns of a 1-based node id."""
@@ -106,12 +124,7 @@ def init_systematic(n: int, k: int, field: GF) -> CodeState:
     Identity columns become u_1..u_2k.  The 2n-2k Cauchy columns fill
     u_(2k+1)..u_n and then v_1..v_n, in that order.
     """
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise BadShape(f"n and k must be ints, got n={n!r}, k={k!r}")
-    if k < 1:
-        raise BadShape(f"k must be >= 1, got {k}")
-    if 2 * k > n:
-        raise BadShape(f"shape requires 2k <= n, got n={n}, k={k}")
+    check_shape(n, k)
     if 2 * n > field.order:
         raise FieldTooSmall(
             f"need 2n={2 * n} distinct field points, field has {field.order}"
@@ -206,22 +219,15 @@ def encode(state: CodeState, stripe) -> list[int]:
 def decode(state: CodeState, nodes, symbols) -> Column:
     """Recover a stripe from any k distinct nodes' symbols.
 
-    ``symbols`` holds each node's u symbol then its v symbol, in the order
-    of ``nodes``.  The 2k equations form a system that is invertible
-    whenever the MDS invariant holds; a Singular error here means the
-    invariant itself is broken.
+    ``nodes`` must pass ``CodeState.decode_nodes``.  ``symbols`` holds each
+    node's u symbol then its v symbol, in the order of ``nodes``; a wrong
+    count raises ``matrix.solve``'s DimensionMismatch.  The 2k equations
+    form a system that is invertible whenever the MDS invariant holds; a
+    Singular error here means the invariant itself is broken.
     """
-    if len(nodes) != state.k:
-        raise DimensionMismatch(
-            f"decode needs exactly k={state.k} nodes, got {len(nodes)}"
-        )
-    if len(symbols) != state.dim:
-        raise DimensionMismatch(
-            f"decode needs 2k={state.dim} symbols, got {len(symbols)}"
-        )
-    rows = [col for node in nodes for col in state.node_columns(node)]
-    if len(set(nodes)) != len(nodes):  # set() needs the ids node_columns checked
-        raise DimensionMismatch(f"duplicate node ids in {nodes}")
+    nodes = state.decode_nodes(nodes)
+    u, v = state.u_cols, state.v_cols
+    rows = [col for node in nodes for col in (u[node - 1], v[node - 1])]
     return tuple(matrix.solve(state.field, rows, symbols))
 
 

@@ -49,8 +49,8 @@ class BadHelpers(MdsRepairError, ValueError):
     """Helper set is malformed (wrong size, duplicates, includes failed)."""
 
 
-class TooFewNodes(MdsRepairError, ValueError):
-    """Not enough nodes supplied to extract data."""
+class TooFewNodes(DimensionMismatch):
+    """Fewer than k nodes supplied to decode from."""
 
 
 class RetriesExhausted(MdsRepairError, RuntimeError):

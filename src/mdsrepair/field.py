@@ -93,6 +93,10 @@ class GF:
                 self._data_tables = (self.exp, self.log)
         return self._data_tables
 
+    def is_symbol(self, x) -> bool:
+        """Whether ``x`` is a field symbol: an int, not a bool, in 0..|F|-1."""
+        return type(x) is int and 0 <= x < self.order
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

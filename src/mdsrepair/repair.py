@@ -109,7 +109,7 @@ def solve_coefficients(
     """
     helpers = validate_helpers(state, failed, helpers)
     gf = state.field
-    if not all(isinstance(x, int) and 0 <= x < gf.order for x in (alpha1, beta1)):
+    if not (gf.is_symbol(alpha1) and gf.is_symbol(beta1)):
         raise NotASymbol(f"alpha1={alpha1!r} or beta1={beta1!r} outside 0..{gf.order - 1}")
     (u1, v1), *others = [state.node_columns(h) for h in helpers]
     rhs = [
@@ -129,7 +129,7 @@ def combine_replacement(state: CodeState, helpers, alpha, beta, rho) -> Column:
             f"{len(helpers)}/{len(alpha)}/{len(beta)}/{len(rho)}"
         )
     gf = state.field
-    if not all(isinstance(x, int) and 0 <= x < gf.order for x in (*alpha, *beta, *rho)):
+    if not all(map(gf.is_symbol, (*alpha, *beta, *rho))):
         raise NotASymbol(f"alpha/beta/rho {alpha}/{beta}/{rho} outside 0..{gf.order - 1}")
     acc = [0] * state.dim
     for h, a, b, r in zip(helpers, alpha, beta, rho):
@@ -169,7 +169,7 @@ def find_replacement_conflict(
         raise DimensionMismatch(
             f"replacement column must have 2k={state.dim} entries, got {len(v_new)}"
         )
-    if not all(isinstance(x, int) and 0 <= x < state.field.order for x in v_new):
+    if not all(map(state.field.is_symbol, v_new)):
         raise NotASymbol(f"replacement column {tuple(v_new)} is not in F^{state.dim}")
     return first_singular(
         state.field, retained_columns(state, failed), state.dim - 1, extra=(tuple(v_new),)

@@ -34,12 +34,7 @@ from .code import (
     init_systematic,
     read_systematic,
 )
-from .errors import (
-    BadShape,
-    DimensionMismatch,
-    InvariantViolation,
-    TooFewNodes,
-)
+from .errors import BadShape, DimensionMismatch, InvariantViolation
 from .field import GF
 from .repair import (
     RepairTranscript,
@@ -110,16 +105,18 @@ def _unpack_stripes(stripes, field: GF, length: int) -> bytes:
 def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
     """Encode raw bytes across n fresh nodes.
 
-    The final stripe is zero-padded.  The cluster keeps its own copy of
-    the bytes, so extraction is exact whatever the caller later does to
-    them.  Empty input yields a valid zero-stripe cluster.
+    ``data`` is any bytes-like object, kept as bytes, so extraction is
+    exact whatever the caller later does to it.  The final stripe is
+    zero-padded.  Empty input yields a valid zero-stripe cluster.
     """
     state = init_systematic(n, k, field)
+    if type(data) is not bytes:  # bytes are immutable, so they are kept, not copied
+        data = bytes(memoryview(data))  # any bytes-like object; bytes(5) is five zeros
     stripes = _pack_stripes(data, k, field)
     # one flat array of the encode outputs, then every 2n-th symbol per plane
     flat = array(_typecode(field), chain.from_iterable(map(encode, repeat(state), stripes)))
     planes = [flat[i :: 2 * n] for i in range(2 * n)]
-    return Cluster(state, bytes(data), dict(enumerate(zip(planes[0::2], planes[1::2]), start=1)))
+    return Cluster(state, data, dict(enumerate(zip(planes[0::2], planes[1::2]), start=1)))
 
 
 def fail_and_repair(
@@ -164,9 +161,9 @@ def fail_and_repair(
 def extract(cluster: Cluster, via) -> bytes:
     """Recover the ingested bytes.
 
-    ``via`` is either an iterable of exactly k distinct node ids (full
-    decode) or the string "systematic" (straight read of nodes 1..2k's u
-    symbols, zero field arithmetic).
+    ``via`` is either the string "systematic" (straight read of nodes
+    1..2k's u symbols, zero field arithmetic) or nodes that pass
+    ``CodeState.decode_nodes`` (full decode, raising as ``decode`` does).
     """
     state = cluster.state
     if isinstance(via, str):
@@ -175,19 +172,7 @@ def extract(cluster: Cluster, via) -> bytes:
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
         stripes = map(read_systematic, repeat(state), zip(*planes))
         return _unpack_stripes(stripes, state.field, len(cluster.data))
-    try:
-        nodes = list(via)
-    except TypeError:
-        raise DimensionMismatch(f"via {via!r} is neither node ids nor 'systematic'") from None
-    if len(nodes) < state.k:
-        raise TooFewNodes(f"need k={state.k} nodes, got {len(nodes)}")
-    if len(nodes) != state.k:
-        raise DimensionMismatch(f"decode takes exactly k={state.k} nodes")
-    for node in nodes:
-        if not state.is_node(node):
-            raise BadShape(f"node id {node!r} outside 1..{state.n}")
-    if len(set(nodes)) != len(nodes):
-        raise DimensionMismatch(f"duplicate node ids in {nodes}")
+    nodes = state.decode_nodes(via)  # once: reads a generator once, rejects with no stripes
     planes = [p for node in nodes for p in cluster.node_store[node]]
     stripes = map(decode, repeat(state), repeat(nodes), zip(*planes))
     return _unpack_stripes(stripes, state.field, len(cluster.data))
@@ -224,7 +209,7 @@ class CampaignReport:
 
     All bandwidth fields are totals over the campaign; ratio is the exact
     per-stripe download ratio of the scheme versus naive whole-stripe
-    repair, (k+1)/(2k), independent of stripe count.
+    repair, (k+1)/(2k), independent of stripe count.  Each check count is ``rounds``.
     """
 
     rounds: int
@@ -277,14 +262,13 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     lowest-numbered survivors.  After every round the exhaustive MDS scan,
     the systematic read-back, and one spot decode must pass, otherwise
     InvariantViolation is raised.  A ``rounds`` that is not an int >= 0
-    raises BadShape.
+    (a bool is not) raises BadShape.
     """
-    if not isinstance(rounds, int) or rounds < 0:
+    if type(rounds) is not int or rounds < 0:
         raise BadShape(f"rounds must be an int >= 0, got {rounds!r}")
     state0_u = cluster.state.u_cols
     stripes = cluster.stripes
     first = len(cluster.history)
-    mds_checks = systematic_checks = decode_checks = 0
 
     for _ in range(rounds):
         failed = rng.randrange(cluster.state.n) + 1
@@ -296,7 +280,6 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
             raise InvariantViolation(
                 f"epoch {state.epoch}: columns {violation} lost full rank"
             )
-        mds_checks += 1
 
         if state.u_cols != state0_u:
             raise InvariantViolation(f"epoch {state.epoch}: u columns changed")
@@ -306,7 +289,6 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
                 raise InvariantViolation(
                     f"epoch {state.epoch}: systematic read of stripe {s} changed"
                 )
-        systematic_checks += 1
 
         if stripes:
             nodes = sorted(rng.sample(range(1, state.n + 1), state.k))
@@ -317,7 +299,6 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
                 raise InvariantViolation(
                     f"epoch {state.epoch}: decode via {nodes} of stripe {s} wrong"
                 )
-        decode_checks += 1
 
     k = cluster.state.k
     retries = [t.retries for t in cluster.history[first:]]
@@ -335,7 +316,7 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         bound_symbols=cut_bound(2 * k, k, k + 1) * moved,
         naive_symbols=2 * k * moved,
         ratio=Fraction(k + 1, 2 * k),
-        mds_checks=mds_checks,
-        systematic_checks=systematic_checks,
-        decode_checks=decode_checks,
+        mds_checks=rounds,
+        systematic_checks=rounds,
+        decode_checks=rounds,
     )

@@ -54,6 +54,12 @@ def test_degree_bound_values():
         degree_bound(3, 2)
 
 
+@pytest.mark.parametrize("n, k", [("4", 2), (4.0, 2), (4, True)])
+def test_degree_bound_rejects_non_int_shapes(n, k):
+    with pytest.raises(BadShape, match="must be ints"):
+        degree_bound(n, k)
+
+
 @given(k=st.integers(1, 12), extra=st.integers(0, 12), shift=st.integers(-2, 2))
 def test_degree_bound_reaches_matches_exact_comparison(k, extra, shift):
     n = 2 * k + extra

@@ -246,6 +246,33 @@ def test_loader_replays_history(tmp_path, capsys, what):
         load_state_text(json.dumps(doc))
 
 
+@pytest.mark.parametrize("where", ["alpha1", "rho"])
+@pytest.mark.parametrize("value, error", [
+    ("-1", "NotASymbol"), ("100", "NotASymbol"), (1.5, "TypeError"), (True, "TypeError"),
+], ids=["-1", "|F|", "1.5", "True"])
+def test_loader_rejects_a_draw_outside_the_field(tmp_path, capsys, where, value, error):
+    path = gen_state(tmp_path, capsys)  # gf256
+    assert run(capsys, "repair", str(path), "--failed", "2", "--seed", "5")[0] == 0
+    doc = json.loads(path.read_text())
+    xi = doc["history"][0]["xi"]
+    if where == "rho":
+        xi["rho"][0] = value
+    else:
+        xi["alpha1"] = value
+    with pytest.raises(StateFileError, match=rf"^history\[0\] does not replay: {error}: "):
+        load_state_text(json.dumps(doc))
+
+
+def test_loader_rejects_json_nested_near_the_parse_limit():
+    # json.loads takes a value nested just under the recursion limit, and
+    # comparing it to the canonical document then runs a few frames deeper
+    head = '{"version": "1", "field": {"m": 8, "reduction_poly": "0x11d"}, "n": 4, "k": 2, '
+    for depth in range(500, 1000):  # where the window lies depends on the stack above
+        text = head + '"epoch": 0, "u": ' + "[" * depth + "]" * depth + ', "v": [], "history": []}'
+        with pytest.raises(StateFileError):
+            load_state_text(text)
+
+
 @pytest.mark.parametrize("fault", ["fsync", "replace"])
 def test_state_write_is_atomic(tmp_path, capsys, monkeypatch, fault):
     path = gen_state(tmp_path, capsys)
@@ -411,6 +438,23 @@ def test_repair_non_utf8_file(tmp_path, capsys):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert path.read_bytes() == b"\xff\xfe"
+
+
+def test_verify_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL: not valid JSON: ") and out.count("\n") == 1
+
+
+def test_repair_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "repair", str(path), "--failed", "1", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+    assert path.read_text() == "[" * 100_000
 
 
 def test_tiny_shape_repair_is_usage_error(tmp_path, capsys):

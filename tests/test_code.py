@@ -67,7 +67,7 @@ def test_init_rejects_bad_shapes():
         init_systematic(4, 0, GF256)
 
 
-@pytest.mark.parametrize("n, k", [(4, 2.0), (4.0, 2), ("4", 2)])
+@pytest.mark.parametrize("n, k", [(4, 2.0), (4.0, 2), ("4", 2), (True, 1)])
 def test_init_rejects_non_int_shapes(n, k):
     with pytest.raises(BadShape, match="must be ints"):
         init_systematic(n, k, GF256)

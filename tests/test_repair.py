@@ -213,9 +213,19 @@ def test_failed_id_that_is_not_a_node_is_rejected(failed):
     lambda: combine_replacement(STATE, (2, 3, 4), (1, 300, 1), (1, 1, 1), (1, 1, 1)),
     lambda: repair_step(STATE, 1, (2, 3, 4), (1, 1, (-1, 1, 1)), 0),
     lambda: repair_step(STATE, 1, (2, 3, 4), (1, 1, (999, 1, 1)), 0),
+    lambda: find_replacement_conflict(STATE, 1, (256, 1, 1, 1)),
+    lambda: find_replacement_conflict(STATE, 1, (True, 1, 1, 1)),
+    lambda: solve_coefficients(STATE, 1, (2, 3, 4), 256, 1),
+    lambda: solve_coefficients(STATE, 1, (2, 3, 4), 1, 1.5),
+    lambda: solve_coefficients(STATE, 1, (2, 3, 4), True, 1),
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 1, 1), (1, 1, 1), (256, 1, 1)),
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 1, 1), (1, 1.5, 1), (1, 1, 1)),
+    lambda: combine_replacement(STATE, (2, 3, 4), (1, 1, 1), (1, 1, 1), (1, True, 1)),
 ], ids=["v_new -1", "v_new 999", "v_new 1.5", "alpha1 999", "beta1 -1",
         "combine rho -1", "combine rho 999", "combine alpha 300",
-        "step rho -1", "step rho 999"])
+        "step rho -1", "step rho 999", "v_new 256", "v_new True",
+        "alpha1 256", "beta1 1.5", "alpha1 True", "combine rho 256", "combine beta 1.5",
+        "combine rho True"])
 def test_out_of_field_symbols_raise_typed(call):
     # unchecked, -1 would index the log table from its end and pass the scan
     with pytest.raises(NotASymbol, match=r"not in F\^4|outside 0\.\.255"):

@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 from dataclasses import fields, replace
@@ -20,6 +21,7 @@ from mdsrepair.errors import (
     DimensionMismatch,
     InvariantViolation,
     MdsRepairError,
+    NotASymbol,
     TooFewNodes,
     UnsupportedShape,
 )
@@ -80,6 +82,17 @@ def test_ingest_copies_its_input():
     assert ingest(bytearray(), 4, 2, GF256).stripes == []
 
 
+@pytest.mark.parametrize("wrap", [memoryview, lambda b: array("B", b)], ids=["memoryview", "array"])
+@pytest.mark.parametrize("field", [GF256, GF65536], ids=["gf256", "gf65536"])
+def test_ingest_takes_any_bytes_like_input(wrap, field):
+    data = b"abcdef"
+    cluster = ingest(wrap(data), 4, 2, field)
+    assert type(cluster.data) is bytes and cluster.data == data
+    assert extract(cluster, (2, 3)) == data
+    assert extract(cluster, "systematic") == data
+    check_conservation(cluster)
+
+
 def test_ingest_round_trip_gf65536(gf65536):
     data = random.Random(1).randbytes(101)  # odd length: forces padding
     cluster = ingest(data, 4, 2, gf65536)
@@ -104,6 +117,35 @@ def test_extract_rejects_bad_node_ids(via):
     with pytest.raises(BadShape) as exc:
         extract(cluster, via)
     assert isinstance(exc.value, MdsRepairError)
+
+
+BAD_NODE_SETS = {
+    "too few": ((1,), TooFewNodes),
+    "too many": ((1, 2, 3), DimensionMismatch),
+    "duplicate": ((1, 1), DimensionMismatch),
+    "out of range": ((1, 9), BadShape),
+    "non-int": ((1, 2.0), BadShape),
+    "bool": ((True, 2), BadShape),
+    "not iterable": (5, DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("data", [b"", b"0123456789"], ids=["no stripes", "3 stripes"])
+@pytest.mark.parametrize("nodes, error", BAD_NODE_SETS.values(), ids=BAD_NODE_SETS.keys())
+def test_decode_and_extract_raise_the_same_class_for_a_bad_node_set(nodes, error, data):
+    cluster = ingest(data, 4, 2, GF256)
+    for call in (lambda: decode(cluster.state, nodes, (0,) * 4), lambda: extract(cluster, nodes)):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
+
+
+def test_decode_and_extract_read_nodes_from_any_iterable():
+    data = random.Random(3).randbytes(20)
+    cluster = ingest(data, 4, 2, GF256)
+    assert extract(cluster, (n for n in (2, 4))) == data
+    symbols = [p[1] for node in (2, 4) for p in cluster.node_store[node]]
+    assert decode(cluster.state, iter([2, 4]), symbols) == cluster.stripes[1]
 
 
 @pytest.mark.parametrize("data", [b"", b"\x01\x02"])
@@ -262,7 +304,10 @@ def test_campaign_rejects_negative_rounds():
     (lambda c, rng: extract(c, None), DimensionMismatch),
     (lambda c, rng: campaign(c, 1.5, rng), BadShape),
     (lambda c, rng: campaign(c, "2", rng), BadShape),
-], ids=["helpers=5", "extract 5", "extract None", "rounds 1.5", "rounds '2'"])
+    (lambda c, rng: campaign(c, True, rng), BadShape),
+    (lambda c, rng: solve_coefficients(c.state, 4, (1, 2, 3), True, 0), NotASymbol),
+], ids=["helpers=5", "extract 5", "extract None", "rounds 1.5", "rounds '2'", "rounds True",
+        "alpha1 True"])
 def test_wrong_type_arguments_raise_typed_errors(call, error):
     """Each fails typed before it changes anything."""
     cluster = ingest(b"0123456789", 4, 2, GF256)
@@ -475,6 +520,9 @@ def test_control_plane_call_counts(monkeypatch, n, k, field, seed, rejected):
     (lambda c, rng: decode(c.state, ([1], 2), (0,) * 4), BadShape),
     (lambda c, rng: repair(c.state, 1, ([2], 3, 4), rng), BadHelpers),
     (lambda c, rng: fail_and_repair(c, 1, rng, helpers=([2], 3, 4)), BadHelpers),
+    (lambda c, rng: repair(c.state, True, (2, 3, 4), rng), BadHelpers),
+    (lambda c, rng: repair(c.state, 1, (True, 3, 4), rng), BadHelpers),
+    (lambda c, rng: fail_and_repair(c, True, rng), BadHelpers),
 ])
 def test_bad_node_ids_raise_typed_errors(call, error):
     """A node id that is not an int in 1..n fails typed, changing nothing."""
