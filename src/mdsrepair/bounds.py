@@ -2,7 +2,10 @@
 
 All arithmetic here is exact (ints and fractions.Fraction): the claim that
 the repair scheme *achieves* the minimum is an exact-equality claim, so
-nothing in this module may round.
+nothing in this module may round.  An amount of symbols is an int (not a
+bool) or a Fraction, and a count of nodes is an int; anything else raises
+BadShape.  ``fractions`` is imported where it is used, not at module
+level, so a command that never computes a bound does not load it.
 
 Units are symbols (field elements).  Multiply by the field width m to get
 bits.
@@ -11,40 +14,59 @@ bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadShape
+from .record import Frozen
 
-Amount = int | Fraction
+
+def is_amount(x) -> bool:
+    """Whether ``x`` is an exact amount of symbols: an int, not a bool, or a Fraction."""
+    if type(x) is int:
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
 
 
-@dataclass(frozen=True)
-class RepairPlan:
-    """One repair's traffic: what each of d helpers uploads.
+def check_ints(**values) -> None:
+    """Raise BadShape unless every value is an int, not a bool."""
+    for value in values.values():
+        if type(value) is not int:
+            got = ", ".join(f"{name}={v!r}" for name, v in values.items())
+            noun = "ints" if len(values) > 1 else "an int"
+            raise BadShape(f"{' and '.join(values)} must be {noun}, got {got}")
+
+
+class RepairPlan(Frozen):
+    """One repair's traffic: what each of d helpers uploads.  Immutable.
 
     file_size is the total stored object in symbols, node_storage the
     per-node capacity (file_size / k for an MDS layout), downloads the
-    per-helper symbol counts.
+    per-helper symbol counts.  Each is an amount (see ``is_amount``), and
+    none may be negative; file_size must be positive.
     """
 
-    file_size: Amount
-    node_storage: Amount
-    downloads: tuple[Amount, ...]
+    __slots__ = _fields = ("file_size", "node_storage", "downloads")
 
-    def __post_init__(self):
-        if self.file_size <= 0:
+    def __init__(self, file_size: int | Fraction, node_storage: int | Fraction, downloads):
+        if not all(map(is_amount, (file_size, node_storage, *downloads))):
+            raise BadShape(
+                f"amounts must be ints or Fractions, got file_size={file_size!r}, "
+                f"node_storage={node_storage!r}, downloads={downloads!r}"
+            )
+        if file_size <= 0:
             raise BadShape("file_size must be positive")
-        if self.node_storage < 0 or any(b < 0 for b in self.downloads):
+        if node_storage < 0 or any(b < 0 for b in downloads):
             raise BadShape("storage and download amounts must be nonnegative")
+        self._set(file_size, node_storage, downloads)
 
     @property
     def d(self) -> int:
         return len(self.downloads)
 
 
-def cut_bound(file_size: Amount, k: int, d: int) -> Fraction:
+def cut_bound(file_size: int | Fraction, k: int, d: int) -> Fraction:
     """Minimum total symbols any repair from d helpers must move.
 
     For a file of ``file_size`` symbols stored across an (n, k)-MDS layout
@@ -52,13 +74,18 @@ def cut_bound(file_size: Amount, k: int, d: int) -> Fraction:
     survivors must download at least file_size*d / (k*(d-k+1)) symbols,
     whatever the code.  Exact rational, never floating point.
     """
+    from fractions import Fraction
+
+    check_ints(k=k, d=d)
+    if not is_amount(file_size):
+        raise BadShape(f"file_size must be an int or a Fraction, got {file_size!r}")
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
     if d < k:
         raise BadShape(f"need at least k={k} helpers, got d={d}")
     if file_size <= 0:
         raise BadShape("file_size must be positive")
-    return Fraction(file_size) * d / (k * (d - k + 1))
+    return Fraction(file_size * d, k * (d - k + 1))
 
 
 def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
@@ -72,6 +99,11 @@ def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
     must still see a full file's worth of information).  Subsets are
     enumerated in lexicographic order; helper indices are 0-based.
     """
+    from fractions import Fraction
+
+    if not isinstance(plan, RepairPlan):
+        raise BadShape(f"plan must be a RepairPlan, got {plan!r}")
+    check_ints(k=k)
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
     if plan.d < k:
@@ -87,8 +119,7 @@ def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
 
 def check_shape(n: int, k: int) -> None:
     """Raise BadShape unless n and k are ints (not bools) with 1 <= k and 2k <= n."""
-    if not (type(n) is int and type(k) is int):
-        raise BadShape(f"n and k must be ints, got n={n!r}, k={k!r}")
+    check_ints(n=n, k=k)
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
     if 2 * k > n:

@@ -20,7 +20,6 @@ Columns are 0-indexed internally; node ids in the public API are 1-based
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -28,25 +27,26 @@ from . import matrix
 from .bounds import check_shape, degree_bound, degree_bound_reaches
 from .errors import BadShape, DimensionMismatch, FieldTooSmall, TooFewNodes
 from .field import GF
+from .record import Frozen
 
 Column = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CodeState:
+class CodeState(Frozen):
     """Immutable snapshot of the code at one epoch.
 
     u_cols[i] / v_cols[i] are the length-2k column vectors of node i+1.
     A repair produces a new CodeState with one v column replaced and
-    epoch incremented; u columns never change.
+    epoch incremented; u columns never change.  Two states are equal when
+    their fields are, and equal states hash alike; assigning a field
+    raises ``ReadOnly``.  The fields are plain instance attributes, read
+    once per stripe by the data path.
     """
 
-    n: int
-    k: int
-    field: GF
-    u_cols: tuple[Column, ...]
-    v_cols: tuple[Column, ...]
-    epoch: int = 0
+    _fields = ("n", "k", "field", "u_cols", "v_cols", "epoch")
+
+    def __init__(self, n: int, k: int, field: GF, u_cols, v_cols, epoch: int = 0):
+        self._set(n, k, field, u_cols, v_cols, epoch)
 
     @property
     def dim(self) -> int:
@@ -83,7 +83,8 @@ class CodeState:
         """The next epoch's state, with node ``node``'s v column replaced."""
         v_cols = list(self.v_cols)
         v_cols[node - 1] = v_new
-        return replace(self, v_cols=tuple(v_cols), epoch=self.epoch + 1)
+        n, k, field, epoch = self.n, self.k, self.field, self.epoch
+        return CodeState(n, k, field, self.u_cols, tuple(v_cols), epoch + 1)
 
     @cached_property
     def encode_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -41,6 +41,10 @@ class FieldTooSmall(MdsRepairError, ValueError):
     """Field order is insufficient for the requested code shape."""
 
 
+class NotBytes(MdsRepairError, TypeError):
+    """Data to ingest is not a bytes-like object (bytes, bytearray, memoryview, array)."""
+
+
 class NotASymbol(MdsRepairError, ValueError):
     """A value that must be a field symbol is not an int in 0..|F|-1."""
 
@@ -63,3 +67,7 @@ class InvariantViolation(MdsRepairError):
 
 class StateFileError(MdsRepairError, ValueError):
     """Code-state file is malformed or fails re-validation."""
+
+
+class ReadOnly(MdsRepairError, AttributeError):
+    """An attribute of an immutable record was assigned or deleted."""

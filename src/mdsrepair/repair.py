@@ -29,7 +29,6 @@ loop terminates almost immediately in practice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import matrix
 from .code import CodeState, Column, first_singular
@@ -41,28 +40,29 @@ from .errors import (
     RetriesExhausted,
     UnsupportedShape,
 )
+from .record import Frozen
 
 MAX_RETRIES = 64  # rejected draws before a repair gives up
 
 
-@dataclass(frozen=True)
-class RepairTranscript:
-    """Everything one repair did, enough to audit or replay it.
+class RepairTranscript(Frozen):
+    """Everything one repair did, enough to audit or replay it.  Immutable.
 
     alpha[0], beta[0] and rho are the k+3 drawn values: the free blend
     pair at the first helper and the k+1 recombination weights, aligned
     with helpers.  The other 2k blend coefficients follow from them.
+    The fields are slots, which ``rebuild_symbols`` reads once per stripe.
     """
 
-    failed: int
-    helpers: tuple[int, ...]
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    rho: tuple[int, ...]
-    v_new: Column
-    retries: int
-    epoch_before: int
-    epoch_after: int
+    __slots__ = _fields = (
+        "failed", "helpers", "alpha", "beta", "rho", "v_new", "retries",
+        "epoch_before", "epoch_after",
+    )
+
+    def __init__(self, failed, helpers, alpha, beta, rho, v_new, retries,
+                 epoch_before, epoch_after):
+        self._set(failed, helpers, alpha, beta, rho, v_new, retries,
+                  epoch_before, epoch_after)
 
 
 def validate_helpers(state: CodeState, failed: int, helpers) -> tuple[int, ...]:

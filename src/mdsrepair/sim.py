@@ -20,8 +20,6 @@ import random
 import struct
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import chain, repeat
 
 from .bounds import cut_bound
@@ -34,48 +32,58 @@ from .code import (
     init_systematic,
     read_systematic,
 )
-from .errors import BadShape, DimensionMismatch, InvariantViolation
+from .errors import BadShape, DimensionMismatch, InvariantViolation, NotBytes
 from .field import GF
+from .record import Frozen, Record
 from .repair import (
-    RepairTranscript,
     default_helpers,
     rebuild_symbols,
     repair,
 )
 
 
-@dataclass(frozen=True)
-class RepairRecord:
-    """The traffic one repair moved, counted as it was replayed.
+class RepairRecord(Frozen):
+    """The traffic one repair moved, counted as it was replayed.  Immutable.
 
     ``history[i]`` of the cluster is the repair behind ``ledger.records[i]``.
     """
 
-    stripes: int
-    symbols_downloaded: int
+    __slots__ = _fields = ("stripes", "symbols_downloaded")
+
+    def __init__(self, stripes: int, symbols_downloaded: int):
+        self._set(stripes, symbols_downloaded)
 
 
-@dataclass
-class BandwidthLedger:
-    records: list[RepairRecord] = dc_field(default_factory=list)
+class BandwidthLedger(Record):
+    """One RepairRecord per repair replayed on a cluster, in order."""
+
+    __slots__ = _fields = ("records",)
+    __hash__ = None
+
+    def __init__(self, records=None):
+        self.records = [] if records is None else records
 
 
-@dataclass
-class Cluster:
+class Cluster(Record):
     """One simulated deployment: code state, ingested bytes, node planes.
 
     node_store[node] is 1-based ``node``'s (u plane, v plane), two
     ``array.array`` (typecode "B" for GF(2^8), "H" for GF(2^16)) whose s-th
     entries are x_s.u and x_s.v for stripe s.  ``data`` is the ingested
     bytes, the only ground truth that invariant checks compare against;
-    extraction reads only its length.
+    extraction reads only its length.  The fields are slots, and a
+    cluster compares equal to another with equal fields.
     """
 
-    state: CodeState
-    data: bytes
-    node_store: dict[int, tuple[array, array]]
-    ledger: BandwidthLedger = dc_field(default_factory=BandwidthLedger)
-    history: list[RepairTranscript] = dc_field(default_factory=list)
+    __slots__ = _fields = ("state", "data", "node_store", "ledger", "history")
+    __hash__ = None
+
+    def __init__(self, state: CodeState, data: bytes, node_store, ledger=None, history=None):
+        self.state = state
+        self.data = data
+        self.node_store = node_store
+        self.ledger = BandwidthLedger() if ledger is None else ledger
+        self.history = [] if history is None else history
 
     @property
     def stripes(self) -> list[tuple[int, ...]]:
@@ -87,8 +95,17 @@ def _typecode(field: GF) -> str:
     return "B" if field.m == 8 else "H"
 
 
+def _stride(k: int, field: GF) -> int:
+    """Bytes per stripe: 2k symbols of m/8 bytes each."""
+    return 2 * k * (field.m // 8)
+
+
+def _stripe_count(data: bytes, k: int, field: GF) -> int:
+    return -(-len(data) // _stride(k, field))
+
+
 def _pack_stripes(data: bytes, k: int, field: GF):
-    stride = 2 * k * (field.m // 8)
+    stride = _stride(k, field)
     padded = data + bytes(-len(data) % stride)
     syms = padded if field.m == 8 else struct.unpack(f">{len(padded) // 2}H", padded)
     return zip(*[iter(syms)] * (2 * k))
@@ -106,12 +123,17 @@ def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
     """Encode raw bytes across n fresh nodes.
 
     ``data`` is any bytes-like object, kept as bytes, so extraction is
-    exact whatever the caller later does to it.  The final stripe is
-    zero-padded.  Empty input yields a valid zero-stripe cluster.
+    exact whatever the caller later does to it; anything else (an int, a
+    str, a list) raises NotBytes.  The final stripe is zero-padded.  Empty
+    input yields a valid zero-stripe cluster.
     """
     state = init_systematic(n, k, field)
     if type(data) is not bytes:  # bytes are immutable, so they are kept, not copied
-        data = bytes(memoryview(data))  # any bytes-like object; bytes(5) is five zeros
+        try:
+            view = memoryview(data)  # not bytes(data): bytes(5) is five zeros
+        except TypeError:
+            raise NotBytes(f"data must be bytes-like, got {type(data).__name__}") from None
+        data = bytes(view)
     stripes = _pack_stripes(data, k, field)
     # one flat array of the encode outputs, then every 2n-th symbol per plane
     flat = array(_typecode(field), chain.from_iterable(map(encode, repeat(state), stripes)))
@@ -182,53 +204,56 @@ def check_conservation(cluster: Cluster) -> None:
     """Stored symbols must equal recomputation from the current state.
 
     An independent scalar check: ``dot`` of every column with every
-    stripe unpacked from the ingested bytes, against the planes.
+    stripe unpacked from the ingested bytes, against the planes, node by
+    node.  Each plane streams the stripes afresh, so no list of them is built.
     """
     state = cluster.state
     gf = state.field
-    stripes = cluster.stripes
+    count = _stripe_count(cluster.data, state.k, gf)
     for node in range(1, state.n + 1):
         for name, col, plane in zip(
             "uv", state.node_columns(node), cluster.node_store[node]
         ):
-            if len(plane) != len(stripes):
+            if len(plane) != count:
                 raise InvariantViolation(
                     f"node {node} {name} plane holds {len(plane)} symbols, "
-                    f"expected {len(stripes)}"
+                    f"expected {count}"
                 )
-            for s, stripe in enumerate(stripes):
-                if plane[s] != dot(gf, col, stripe):
+            stripes = _pack_stripes(cluster.data, state.k, gf)
+            for s, (symbol, stripe) in enumerate(zip(plane, stripes)):
+                if symbol != dot(gf, col, stripe):
                     raise InvariantViolation(
                         f"node {node} stripe {s} drifted from the code state"
                     )
 
 
-@dataclass
-class CampaignReport:
-    """Aggregated results of a fail/repair campaign.
+class CampaignReport(Frozen):
+    """Aggregated results of a fail/repair campaign.  Immutable.
 
     All bandwidth fields are totals over the campaign; ratio is the exact
     per-stripe download ratio of the scheme versus naive whole-stripe
-    repair, (k+1)/(2k), independent of stripe count.  Each check count is ``rounds``.
+    repair, (k+1)/(2k), independent of stripe count.  Each check count is
+    ``rounds``.  bound_symbols, ratio and mean_retries are Fractions.
     """
 
-    rounds: int
-    n: int
-    k: int
-    stripes: int
-    epoch: int
-    retries: int
-    retry_histogram: dict[int, int]
-    downloaded_symbols: int
-    bound_symbols: Fraction
-    naive_symbols: int
-    ratio: Fraction
-    mds_checks: int
-    systematic_checks: int
-    decode_checks: int
+    __slots__ = _fields = (
+        "rounds", "n", "k", "stripes", "epoch", "retries", "retry_histogram",
+        "downloaded_symbols", "bound_symbols", "naive_symbols", "ratio",
+        "mds_checks", "systematic_checks", "decode_checks",
+    )
+    __hash__ = None  # retry_histogram is a dict
+
+    def __init__(self, rounds, n, k, stripes, epoch, retries, retry_histogram,
+                 downloaded_symbols, bound_symbols, naive_symbols, ratio,
+                 mds_checks, systematic_checks, decode_checks):
+        self._set(rounds, n, k, stripes, epoch, retries, retry_histogram,
+                  downloaded_symbols, bound_symbols, naive_symbols, ratio,
+                  mds_checks, systematic_checks, decode_checks)
 
     @property
     def mean_retries(self) -> Fraction:
+        from fractions import Fraction
+
         if self.rounds == 0:
             return Fraction(0)
         return Fraction(self.retries, self.rounds)
@@ -264,10 +289,13 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     InvariantViolation is raised.  A ``rounds`` that is not an int >= 0
     (a bool is not) raises BadShape.
     """
+    from fractions import Fraction
+
     if type(rounds) is not int or rounds < 0:
         raise BadShape(f"rounds must be an int >= 0, got {rounds!r}")
     state0_u = cluster.state.u_cols
-    stripes = cluster.stripes
+    data, k, field = cluster.data, cluster.state.k, cluster.state.field
+    count, stride = _stripe_count(data, k, field), _stride(k, field)
     first = len(cluster.history)
 
     for _ in range(rounds):
@@ -284,23 +312,23 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         if state.u_cols != state0_u:
             raise InvariantViolation(f"epoch {state.epoch}: u columns changed")
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
+        stripes = _pack_stripes(data, k, field)
         for s, (stripe, symbols) in enumerate(zip(stripes, zip(*planes))):
             if read_systematic(state, symbols) != stripe:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: systematic read of stripe {s} changed"
                 )
 
-        if stripes:
+        if count:
             nodes = sorted(rng.sample(range(1, state.n + 1), state.k))
-            s = rng.randrange(len(stripes))
+            s = rng.randrange(count)
             symbols = [p[s] for node in nodes for p in cluster.node_store[node]]
             got = decode(state, nodes, symbols)
-            if got != stripes[s]:
+            if got != next(_pack_stripes(data[s * stride : (s + 1) * stride], k, field)):
                 raise InvariantViolation(
                     f"epoch {state.epoch}: decode via {nodes} of stripe {s} wrong"
                 )
 
-    k = cluster.state.k
     retries = [t.retries for t in cluster.history[first:]]
     records = cluster.ledger.records[first:]
     moved = sum(r.stripes for r in records)  # stripes rebuilt over the campaign

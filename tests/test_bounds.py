@@ -46,6 +46,24 @@ def test_cut_bound_rejects_bad_shapes():
         cut_bound(4, 0, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cut_bound("4", 2, 3),
+    lambda: cut_bound(4, "2", 3),
+    lambda: cut_bound(4, 2, 3.5),
+    lambda: cut_bound(4, True, 2),
+    lambda: cut_bound(4.0, 2, 3),
+    lambda: find_cut_violation(RepairPlan(file_size=4, node_storage=2, downloads=(1, 1, 1)), True),
+    lambda: find_cut_violation(RepairPlan(file_size=4, node_storage=2, downloads=(1, 1, 1)), "2"),
+    lambda: find_cut_violation((4, 2, (1, 1, 1)), 2),
+    lambda: RepairPlan(file_size="4", node_storage=2, downloads=(1, 1, 1)),
+    lambda: RepairPlan(file_size=4, node_storage=2, downloads=(1, 1.5, 1)),
+], ids=["B '4'", "k '2'", "d 3.5", "k True", "B 4.0", "plan k True", "plan k '2'",
+        "plan tuple", "plan B '4'", "plan download 1.5"])
+def test_bounds_reject_counts_that_are_not_ints_and_amounts_that_are_not_exact(call):
+    with pytest.raises(BadShape):
+        call()
+
+
 def test_degree_bound_values():
     assert degree_bound(4, 2) == 2 * comb(7, 3) == 70
     assert degree_bound(6, 3) == 2 * comb(11, 5) == 924

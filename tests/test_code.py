@@ -1,7 +1,8 @@
+import copy
 import math
+import pickle
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdsrepair import matrix
 from mdsrepair.code import (
+    CodeState,
     all_columns,
     column_label,
     decode,
@@ -19,7 +21,7 @@ from mdsrepair.code import (
     init_systematic,
     read_systematic,
 )
-from mdsrepair.errors import BadShape, DimensionMismatch, FieldTooSmall
+from mdsrepair.errors import BadShape, DimensionMismatch, FieldTooSmall, ReadOnly
 from mdsrepair.field import GF
 from mdsrepair.repair import default_helpers, repair
 
@@ -91,7 +93,7 @@ def test_init_deterministic_and_seed_independent():
 def test_duplicated_column_breaks_mds():
     v_cols = list(STATE_4_2.v_cols)
     v_cols[0] = STATE_4_2.u_cols[0]
-    broken = replace(STATE_4_2, v_cols=tuple(v_cols))
+    broken = CodeState(4, 2, GF256, STATE_4_2.u_cols, tuple(v_cols))
     violation = find_mds_violation(broken)
     assert violation is not None
     # both copies of the duplicated column sit in the reported subset
@@ -153,6 +155,26 @@ def test_encode_terms_leave_equality_alone():
     repaired = state.repaired(1, STATE_4_2.v_cols[1])
     assert repaired.encode_terms[1] == state.encode_terms[3]  # v_1 := v_2
 
+
+
+def test_code_state_is_an_immutable_value():
+    state = init_systematic(4, 2, GF256)
+    for assign in (lambda: setattr(state, "epoch", 1), lambda: delattr(state, "v_cols")):
+        with pytest.raises(ReadOnly):
+            assign()
+        with pytest.raises(AttributeError):
+            assign()
+    assert state.epoch == 0
+    assert repr(state) == (
+        f"CodeState(n=4, k=2, field=GF(2^8, poly=0x11d), u_cols={state.u_cols!r}, "
+        f"v_cols={state.v_cols!r}, epoch=0)"
+    )
+    assert state != state.repaired(1, state.v_cols[0])  # same columns, next epoch
+    assert state != (4, 2, GF256, state.u_cols, state.v_cols, 0)
+    state.encode_terms  # the cache is not a field: copies and equality ignore it
+    for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert twin == state and hash(twin) == hash(state)
+        assert twin.encode_terms == state.encode_terms
 
 @given(stripes_4)
 def test_decode_every_k_subset(stripe):

@@ -1,9 +1,13 @@
-"""Every name a module imports is used: the package modules and the tests.
+"""What the package imports: every imported name is used, and a cold start stays small.
 
-``__init__.py`` is left out, since it imports names only to re-export them.
+``__init__.py`` is left out of the unused-name check, since it imports
+names only to re-export them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,30 @@ def test_checker_finds_a_leftover_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+COLD_CHECK = """\
+import sys
+import mdsrepair
+after_package = sorted(m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules)
+import mdsrepair.cli
+after_cli = sorted(m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules)
+print(after_package, after_cli, "mdsrepair.sim" in sys.modules)
+"""
+
+
+def test_cold_import_loads_neither_dataclasses_nor_fractions():
+    """A fresh ``import mdsrepair`` or ``import mdsrepair.cli`` stays off both.
+
+    Each CLI command is a fresh interpreter, and ``dataclasses`` (with the
+    ``inspect`` it imports) and ``fractions`` were most of its own import
+    time.  ``mdsrepair.sim`` must still load with the CLI: the benchmark's
+    traced children wrap its functions right after importing the CLI.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_CHECK], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split("\n")[0] == "[] [] True"

@@ -1,17 +1,19 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from mdsrepair.bounds import degree_bound
-from mdsrepair.code import dot, encode, find_mds_violation, init_systematic
+from mdsrepair.code import CodeState, dot, encode, find_mds_violation, init_systematic
 from mdsrepair.errors import (
     BadHelpers,
     DimensionMismatch,
     InvariantViolation,
     MdsRepairError,
     NotASymbol,
+    ReadOnly,
     RetriesExhausted,
     UnsupportedShape,
 )
@@ -156,6 +158,15 @@ def test_repair_preserves_mds_and_changes_one_column():
     assert state2.v_cols[FAILED - 1] == t.v_new
     assert len(t.rho) == STATE.k + 1  # k+3 drawn coefficients in total
 
+
+
+def test_transcript_is_an_immutable_value():
+    _, t = repair(STATE, FAILED, HELPERS, random.Random(77))
+    with pytest.raises(ReadOnly):
+        t.retries = 0
+    assert repr(t).startswith(f"RepairTranscript(failed={FAILED}, helpers={HELPERS!r}, alpha=")
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t)
 
 def test_repair_same_node_twice_keeps_u_column():
     rng = random.Random(13)
@@ -386,7 +397,7 @@ def test_acceptance_scan_equivalent_to_full_mds_scan():
         accepted = find_replacement_conflict(STATE, FAILED, v_new) is None
         v_cols = list(STATE.v_cols)
         v_cols[FAILED - 1] = v_new
-        candidate = replace(STATE, v_cols=tuple(v_cols))
+        candidate = CodeState(STATE.n, STATE.k, STATE.field, STATE.u_cols, tuple(v_cols))
         full = find_mds_violation(candidate) is None
         assert accepted == full, trial
         if accepted:

@@ -6,7 +6,6 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from mdsrepair import matrix, sim
 from mdsrepair.cli import dump_state_text, load_state_text
-from mdsrepair.code import decode, dot, find_mds_violation, init_systematic
+from mdsrepair.code import CodeState, decode, dot, find_mds_violation, init_systematic
 from mdsrepair.errors import (
     BadHelpers,
     BadShape,
@@ -22,12 +21,14 @@ from mdsrepair.errors import (
     InvariantViolation,
     MdsRepairError,
     NotASymbol,
+    NotBytes,
     TooFewNodes,
     UnsupportedShape,
 )
 from mdsrepair.field import GF
 from mdsrepair.repair import default_helpers, repair, solve_coefficients
 from mdsrepair.sim import (
+    Cluster,
     RepairRecord,
     campaign,
     check_conservation,
@@ -75,7 +76,7 @@ def test_ingest_copies_its_input():
     assert extract(cluster, "systematic") == payload
     check_conservation(cluster)
     # stripes are derived from the kept bytes: a fresh, zero-padded list per access
-    assert "stripes" not in {f.name for f in fields(cluster)}
+    assert "stripes" not in Cluster._fields and "stripes" not in Cluster.__slots__
     assert cluster.stripes == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 0, 0, 0)]
     cluster.stripes.clear()
     assert len(cluster.stripes) == 4
@@ -306,8 +307,11 @@ def test_campaign_rejects_negative_rounds():
     (lambda c, rng: campaign(c, "2", rng), BadShape),
     (lambda c, rng: campaign(c, True, rng), BadShape),
     (lambda c, rng: solve_coefficients(c.state, 4, (1, 2, 3), True, 0), NotASymbol),
+    (lambda c, rng: ingest(5, 4, 2, GF256), NotBytes),
+    (lambda c, rng: ingest("0123", 4, 2, GF256), NotBytes),
+    (lambda c, rng: ingest([48, 49], 4, 2, GF256), NotBytes),
 ], ids=["helpers=5", "extract 5", "extract None", "rounds 1.5", "rounds '2'", "rounds True",
-        "alpha1 True"])
+        "alpha1 True", "ingest 5", "ingest str", "ingest list"])
 def test_wrong_type_arguments_raise_typed_errors(call, error):
     """Each fails typed before it changes anything."""
     cluster = ingest(b"0123456789", 4, 2, GF256)
@@ -475,7 +479,7 @@ def test_control_plane_call_counts(monkeypatch, n, k, field, seed, rejected):
     assert find_mds_violation(state) is None
     assert counts == {"det": math.comb(2 * n, 2 * k)}
     counts.clear()
-    planted = replace(state, v_cols=state.v_cols[:-1] + (state.u_cols[0],))
+    planted = CodeState(n, k, field, state.u_cols, state.v_cols[:-1] + (state.u_cols[0],))
     subset = find_mds_violation(planted)
     assert subset[0] == 0 and subset[-1] == 2 * n - 1
     assert counts == {"det": rank(subset, 2 * n) + 1}
