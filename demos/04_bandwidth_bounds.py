@@ -9,7 +9,7 @@ symbols, and that is literally what the repair engine downloads.
 
 from fractions import Fraction
 
-from mdsrepair import RepairPlan, cut_bound, degree_bound, find_cut_violation
+from mdsrepair import cut_bound, degree_bound, find_cut_violation
 
 
 def main():
@@ -33,8 +33,7 @@ def main():
     print()
 
     print("per-subset cut inequalities for the realized plan (k=2):")
-    plan = RepairPlan(file_size=4, node_storage=2, downloads=(1, 1, 1))
-    violation = find_cut_violation(plan, 2)
+    violation = find_cut_violation(4, 2, (1, 1, 1), 2)
     print(f"  downloads (1,1,1), storage 2, stripe 4 symbols -> "
           f"{'all hold' if violation is None else f'violated at {violation}'}")
     print("  (each inequality holds with equality: the plan has zero slack)")

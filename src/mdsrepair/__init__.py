@@ -10,7 +10,6 @@ nodes 1..2k at every epoch.
 
 from . import errors
 from .bounds import (
-    RepairPlan,
     cut_bound,
     degree_bound,
     find_cut_violation,
@@ -55,7 +54,6 @@ __all__ = [
     "GF",
     "CodeState",
     "RepairTranscript",
-    "RepairPlan",
     "RepairRecord",
     "BandwidthLedger",
     "CampaignReport",

@@ -17,7 +17,6 @@ import math
 from itertools import combinations
 
 from .errors import BadShape
-from .record import Frozen
 
 
 def is_amount(x) -> bool:
@@ -36,34 +35,6 @@ def check_ints(**values) -> None:
             got = ", ".join(f"{name}={v!r}" for name, v in values.items())
             noun = "ints" if len(values) > 1 else "an int"
             raise BadShape(f"{' and '.join(values)} must be {noun}, got {got}")
-
-
-class RepairPlan(Frozen):
-    """One repair's traffic: what each of d helpers uploads.  Immutable.
-
-    file_size is the total stored object in symbols, node_storage the
-    per-node capacity (file_size / k for an MDS layout), downloads the
-    per-helper symbol counts.  Each is an amount (see ``is_amount``), and
-    none may be negative; file_size must be positive.
-    """
-
-    __slots__ = _fields = ("file_size", "node_storage", "downloads")
-
-    def __init__(self, file_size: int | Fraction, node_storage: int | Fraction, downloads):
-        if not all(map(is_amount, (file_size, node_storage, *downloads))):
-            raise BadShape(
-                f"amounts must be ints or Fractions, got file_size={file_size!r}, "
-                f"node_storage={node_storage!r}, downloads={downloads!r}"
-            )
-        if file_size <= 0:
-            raise BadShape("file_size must be positive")
-        if node_storage < 0 or any(b < 0 for b in downloads):
-            raise BadShape("storage and download amounts must be nonnegative")
-        self._set(file_size, node_storage, downloads)
-
-    @property
-    def d(self) -> int:
-        return len(self.downloads)
 
 
 def cut_bound(file_size: int | Fraction, k: int, d: int) -> Fraction:
@@ -88,10 +59,13 @@ def cut_bound(file_size: int | Fraction, k: int, d: int) -> Fraction:
     return Fraction(file_size * d, k * (d - k + 1))
 
 
-def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
+def find_cut_violation(file_size, node_storage, downloads, k: int) -> tuple[int, ...] | None:
     """First (k-1)-subset of helpers whose cut inequality fails, else None.
 
-    Each (k-1)-subset P of the d helpers induces the constraint
+    One repair's traffic, in amounts (see ``is_amount``): a file of
+    file_size > 0 symbols, node_storage per node (file_size / k for an MDS
+    layout), and the downloads from each of d helpers, none negative.
+    Each (k-1)-subset P of the helpers induces the constraint
 
         (k - 1) * node_storage + sum of downloads outside P >= file_size
 
@@ -99,20 +73,27 @@ def find_cut_violation(plan: RepairPlan, k: int) -> tuple[int, ...] | None:
     must still see a full file's worth of information).  Subsets are
     enumerated in lexicographic order; helper indices are 0-based.
     """
-    from fractions import Fraction
-
-    if not isinstance(plan, RepairPlan):
-        raise BadShape(f"plan must be a RepairPlan, got {plan!r}")
+    downloads = tuple(downloads)
+    if not all(map(is_amount, (file_size, node_storage, *downloads))):
+        raise BadShape(
+            f"amounts must be ints or Fractions, got file_size={file_size!r}, "
+            f"node_storage={node_storage!r}, downloads={downloads!r}"
+        )
+    if file_size <= 0:
+        raise BadShape("file_size must be positive")
+    if node_storage < 0 or any(b < 0 for b in downloads):
+        raise BadShape("storage and download amounts must be nonnegative")
     check_ints(k=k)
     if k < 1:
         raise BadShape(f"k must be >= 1, got {k}")
-    if plan.d < k:
-        raise BadShape(f"plan has d={plan.d} helpers, need at least k={k}")
-    total = sum(plan.downloads)
-    base = (k - 1) * Fraction(plan.node_storage)
-    for subset in combinations(range(plan.d), k - 1):
-        inside = sum(plan.downloads[i] for i in subset)
-        if base + (total - inside) < plan.file_size:
+    d = len(downloads)
+    if d < k:
+        raise BadShape(f"plan has d={d} helpers, need at least k={k}")
+    total = sum(downloads)
+    base = (k - 1) * node_storage  # exact: amounts are ints or Fractions
+    for subset in combinations(range(d), k - 1):
+        inside = sum(downloads[i] for i in subset)
+        if base + (total - inside) < file_size:
             return subset
     return None
 

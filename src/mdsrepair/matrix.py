@@ -1,17 +1,18 @@
 """Exact dense linear algebra over GF(2^m): ``det`` and ``solve``.
 
 Matrices are lists of rows, rows are lists (or tuples) of ints from one
-field.  Everything here is pure: inputs are copied before elimination.
-Pivoting picks the topmost nonzero entry in the leftmost unfinished
-column; exact field arithmetic needs nothing fancier, and the fixed rule
-keeps runs reproducible.  Row swaps never flip a determinant sign because
--1 = 1 in characteristic 2.
+field.  Inputs are never changed: elimination runs on copies.  Pivoting
+picks the topmost nonzero entry in the leftmost unfinished column; exact
+field arithmetic needs nothing fancier, and the fixed rule keeps runs
+reproducible.  Row swaps never flip a determinant sign because -1 = 1 in
+characteristic 2.
 
 The determinant is the hot path of the whole package (it runs once per
 column subset in the exhaustive MDS scans); ``solve`` serves coefficient
-solving and decode.  Both run one forward elimination, ``_eliminate``,
-which indexes the field's tables directly instead of calling
-per-element methods.
+solving and decode, and records the last matrix it solved, with its
+inverse from the second solve in a row (see ``solve``).  Both run one
+forward elimination, ``_eliminate``, which indexes the field's tables
+directly instead of calling per-element methods.
 """
 
 from __future__ import annotations
@@ -66,23 +67,14 @@ def det(gf: GF, m) -> int:
     return 0 if det_log is None else gf.exp[det_log % (gf.order - 1)]
 
 
-def solve(gf: GF, m, b) -> list[int]:
-    """Solve M x = b for square invertible M."""
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise NonSquare(f"solve needs a square matrix, got a {n}x{len(row)} row")
-    if len(b) != n:
-        raise DimensionMismatch(f"matrix is {n}x{n}, rhs has length {len(b)}")
-    a = [list(row) + [bv] for row, bv in zip(m, b)]
-    if _eliminate(gf, a, n) is None:
-        raise Singular("matrix is singular")
+def _back_substitute(gf: GF, a, n: int, c: int) -> list[int]:
+    """x with U x = column c of the rows ``a``, U their n x n block after ``_eliminate``."""
     exp, log = gf.exp, gf.log
     q1 = gf.order - 1
     x = [0] * n
     for r in range(n - 1, -1, -1):
         row = a[r]
-        acc = row[n]
+        acc = row[c]
         for j in range(r + 1, n):
             v = row[j]
             w = x[j]
@@ -90,4 +82,52 @@ def solve(gf: GF, m, b) -> list[int]:
                 acc ^= exp[log[v] + log[w]]
         if acc:
             x[r] = exp[log[acc] + q1 - log[row[r]]]
+    return x
+
+
+_last = (0, None, None)  # (field width, rows, inverse as (row, log) terms per column)
+
+
+def solve(gf: GF, m, b) -> list[int]:
+    """Solve M x = b for square invertible M, given as a list of rows.
+
+    A matrix equal to the last one solved (same field width, equal rows) is
+    inverted on its second solve in a row; each later solve returns M^-1 b.
+    Any other matrix is eliminated over [M | b] and becomes the record, so a
+    one-off solve costs what it did without one.  Answers never change.  The
+    record is one tuple, read once and replaced whole: threads sharing it at
+    worst solve afresh.
+    """
+    global _last
+    n = len(m)
+    last = _last
+    same = last[1] == m and last[0] == gf.m
+    if not same or last[2] is None:
+        for row in m:
+            if len(row) != n:
+                raise NonSquare(f"solve needs a square matrix, got a {n}x{len(row)} row")
+    if len(b) != n:
+        raise DimensionMismatch(f"matrix is {n}x{n}, rhs has length {len(b)}")
+    if not same:
+        a = [[*row, bv] for row, bv in zip(m, b)]
+        if _eliminate(gf, a, n) is None:
+            raise Singular("matrix is singular")
+        _last = (gf.m, m, None)  # not copied: it is read again before an inverse is built
+        return _back_substitute(gf, a, n, n)
+    inverse = last[2]
+    if inverse is None:
+        rows = [row[:] for row in m]  # copied, so the inverse cannot go stale
+        a = [[*row, *(int(i == r) for i in range(n))] for r, row in enumerate(rows)]
+        if _eliminate(gf, a, n) is None:  # [M | I]: column j of M^-1 solves M x = e_j
+            raise Singular("matrix is singular")
+        cols = [_back_substitute(gf, a, n, n + j) for j in range(n)]
+        inverse = [[(r, gf.log[v]) for r, v in enumerate(col) if v] for col in cols]
+        _last = (gf.m, rows, inverse)
+    exp, log = gf.exp, gf.log
+    x = [0] * n
+    for terms, v in zip(inverse, b):  # column j of M^-1, times b_j
+        if v:
+            lv = log[v]
+            for r, lc in terms:
+                x[r] ^= exp[lc + lv]
     return x

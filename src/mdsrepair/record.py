@@ -1,6 +1,6 @@
 """Record classes by hand: value equality, hash and repr from a field list.
 
-The package's record types (code state, transcripts, plans, clusters,
+The package's record types (code state, transcripts, ledgers, clusters,
 reports) need what a dataclass would give them and no more.  They derive
 from these two bases instead: every CLI command is a fresh interpreter,
 and on CPython 3.11 ``import dataclasses`` (which imports ``inspect``)

@@ -24,22 +24,12 @@ from itertools import chain, repeat
 
 from .bounds import cut_bound
 from .code import (
-    CodeState,
-    decode,
-    dot,
-    encode,
-    find_mds_violation,
-    init_systematic,
-    read_systematic,
+    CodeState, decode, dot, encode, find_mds_violation, init_systematic, read_systematic,
 )
 from .errors import BadShape, DimensionMismatch, InvariantViolation, NotBytes
 from .field import GF
 from .record import Frozen, Record
-from .repair import (
-    default_helpers,
-    rebuild_symbols,
-    repair,
-)
+from .repair import default_helpers, rebuild_symbols, repair
 
 
 class RepairRecord(Frozen):
@@ -88,27 +78,22 @@ class Cluster(Record):
     @property
     def stripes(self) -> list[tuple[int, ...]]:
         """The zero-padded stripes, unpacked from ``data`` on each access."""
-        return list(_pack_stripes(self.data, self.state.k, self.state.field))
+        return list(_stripes(_symbols(self.data, self.state.k, self.state.field), self.state.k))
 
 
 def _typecode(field: GF) -> str:
     return "B" if field.m == 8 else "H"
 
 
-def _stride(k: int, field: GF) -> int:
-    """Bytes per stripe: 2k symbols of m/8 bytes each."""
-    return 2 * k * (field.m // 8)
+def _symbols(data: bytes, k: int, field: GF):
+    """``data`` zero-padded to whole stripes: the bytes at GF(2^8), a tuple of ints at GF(2^16)."""
+    padded = data + bytes(-len(data) % (2 * k * field.m // 8))  # 2k symbols per stripe
+    return padded if field.m == 8 else struct.unpack(f">{len(padded) // 2}H", padded)
 
 
-def _stripe_count(data: bytes, k: int, field: GF) -> int:
-    return -(-len(data) // _stride(k, field))
-
-
-def _pack_stripes(data: bytes, k: int, field: GF):
-    stride = _stride(k, field)
-    padded = data + bytes(-len(data) % stride)
-    syms = padded if field.m == 8 else struct.unpack(f">{len(padded) // 2}H", padded)
-    return zip(*[iter(syms)] * (2 * k))
+def _stripes(symbols, k: int):
+    """The stripes of 2k symbols each, streamed from ``symbols``."""
+    return zip(*[iter(symbols)] * (2 * k))
 
 
 def _unpack_stripes(stripes, field: GF, length: int) -> bytes:
@@ -134,7 +119,7 @@ def ingest(data: bytes, n: int, k: int, field: GF) -> Cluster:
         except TypeError:
             raise NotBytes(f"data must be bytes-like, got {type(data).__name__}") from None
         data = bytes(view)
-    stripes = _pack_stripes(data, k, field)
+    stripes = _stripes(_symbols(data, k, field), k)
     # one flat array of the encode outputs, then every 2n-th symbol per plane
     flat = array(_typecode(field), chain.from_iterable(map(encode, repeat(state), stripes)))
     planes = [flat[i :: 2 * n] for i in range(2 * n)]
@@ -205,11 +190,13 @@ def check_conservation(cluster: Cluster) -> None:
 
     An independent scalar check: ``dot`` of every column with every
     stripe unpacked from the ingested bytes, against the planes, node by
-    node.  Each plane streams the stripes afresh, so no list of them is built.
+    node.  The bytes are unpacked into symbols once; each plane streams
+    the stripes from them afresh, so no list of stripes is built.
     """
     state = cluster.state
     gf = state.field
-    count = _stripe_count(cluster.data, state.k, gf)
+    symbols = _symbols(cluster.data, state.k, gf)
+    count = len(symbols) // state.dim
     for node in range(1, state.n + 1):
         for name, col, plane in zip(
             "uv", state.node_columns(node), cluster.node_store[node]
@@ -219,8 +206,7 @@ def check_conservation(cluster: Cluster) -> None:
                     f"node {node} {name} plane holds {len(plane)} symbols, "
                     f"expected {count}"
                 )
-            stripes = _pack_stripes(cluster.data, state.k, gf)
-            for s, (symbol, stripe) in enumerate(zip(plane, stripes)):
+            for s, (symbol, stripe) in enumerate(zip(plane, _stripes(symbols, state.k))):
                 if symbol != dot(gf, col, stripe):
                     raise InvariantViolation(
                         f"node {node} stripe {s} drifted from the code state"
@@ -232,23 +218,20 @@ class CampaignReport(Frozen):
 
     All bandwidth fields are totals over the campaign; ratio is the exact
     per-stripe download ratio of the scheme versus naive whole-stripe
-    repair, (k+1)/(2k), independent of stripe count.  Each check count is
-    ``rounds``.  bound_symbols, ratio and mean_retries are Fractions.
+    repair, (k+1)/(2k), independent of stripe count.  Every round runs all
+    three checks.  bound_symbols, ratio and mean_retries are Fractions.
     """
 
     __slots__ = _fields = (
         "rounds", "n", "k", "stripes", "epoch", "retries", "retry_histogram",
         "downloaded_symbols", "bound_symbols", "naive_symbols", "ratio",
-        "mds_checks", "systematic_checks", "decode_checks",
     )
     __hash__ = None  # retry_histogram is a dict
 
     def __init__(self, rounds, n, k, stripes, epoch, retries, retry_histogram,
-                 downloaded_symbols, bound_symbols, naive_symbols, ratio,
-                 mds_checks, systematic_checks, decode_checks):
+                 downloaded_symbols, bound_symbols, naive_symbols, ratio):
         self._set(rounds, n, k, stripes, epoch, retries, retry_histogram,
-                  downloaded_symbols, bound_symbols, naive_symbols, ratio,
-                  mds_checks, systematic_checks, decode_checks)
+                  downloaded_symbols, bound_symbols, naive_symbols, ratio)
 
     @property
     def mean_retries(self) -> Fraction:
@@ -259,6 +242,7 @@ class CampaignReport(Frozen):
         return Fraction(self.retries, self.rounds)
 
     def to_text(self) -> str:
+        r = self.rounds  # every round ran each check
         hist = " ".join(
             f"{draws}:{count}" for draws, count in sorted(self.retry_histogram.items())
         )
@@ -272,9 +256,7 @@ class CampaignReport(Frozen):
             f"bound_symbols: {self.bound_symbols}",
             f"naive_symbols: {self.naive_symbols}",
             f"ratio: {self.ratio}",
-            f"invariants: mds={self.mds_checks}/{self.rounds} "
-            f"systematic={self.systematic_checks}/{self.rounds} "
-            f"decode={self.decode_checks}/{self.rounds}",
+            f"invariants: mds={r}/{r} systematic={r}/{r} decode={r}/{r}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -294,9 +276,9 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
     if type(rounds) is not int or rounds < 0:
         raise BadShape(f"rounds must be an int >= 0, got {rounds!r}")
     state0_u = cluster.state.u_cols
-    data, k, field = cluster.data, cluster.state.k, cluster.state.field
-    count, stride = _stripe_count(data, k, field), _stride(k, field)
-    first = len(cluster.history)
+    k = cluster.state.k
+    payload = _symbols(cluster.data, k, cluster.state.field)  # unpacked once for all rounds
+    count, first = len(payload) // (2 * k), len(cluster.history)
 
     for _ in range(rounds):
         failed = rng.randrange(cluster.state.n) + 1
@@ -312,8 +294,7 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         if state.u_cols != state0_u:
             raise InvariantViolation(f"epoch {state.epoch}: u columns changed")
         planes = [cluster.node_store[node][0] for node in range(1, state.dim + 1)]
-        stripes = _pack_stripes(data, k, field)
-        for s, (stripe, symbols) in enumerate(zip(stripes, zip(*planes))):
+        for s, (stripe, symbols) in enumerate(zip(_stripes(payload, k), zip(*planes))):
             if read_systematic(state, symbols) != stripe:
                 raise InvariantViolation(
                     f"epoch {state.epoch}: systematic read of stripe {s} changed"
@@ -324,7 +305,7 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
             s = rng.randrange(count)
             symbols = [p[s] for node in nodes for p in cluster.node_store[node]]
             got = decode(state, nodes, symbols)
-            if got != next(_pack_stripes(data[s * stride : (s + 1) * stride], k, field)):
+            if got != tuple(payload[2 * k * s : 2 * k * (s + 1)]):
                 raise InvariantViolation(
                     f"epoch {state.epoch}: decode via {nodes} of stripe {s} wrong"
                 )
@@ -344,7 +325,4 @@ def campaign(cluster: Cluster, rounds: int, rng: random.Random) -> CampaignRepor
         bound_symbols=cut_bound(2 * k, k, k + 1) * moved,
         naive_symbols=2 * k * moved,
         ratio=Fraction(k + 1, 2 * k),
-        mds_checks=rounds,
-        systematic_checks=rounds,
-        decode_checks=rounds,
     )

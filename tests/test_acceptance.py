@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from mdsrepair.bounds import RepairPlan, cut_bound, degree_bound, find_cut_violation
+from mdsrepair.bounds import cut_bound, degree_bound, find_cut_violation
 from mdsrepair.code import init_systematic, read_systematic
 from mdsrepair.field import GF
 from mdsrepair.matrix import det
@@ -83,7 +83,7 @@ def test_criterion_2_mds_preserved_4_2(campaign_4_2):
     500 repairs (the campaign aborts on the first violation)."""
     cluster, report, _, _ = campaign_4_2
     assert report.rounds == 500
-    assert report.mds_checks == 500
+    assert "invariants: mds=500/500 systematic=500/500 decode=500/500\n" in report.to_text()
     assert cluster.state.epoch == 500
     _passline("criterion 2a: (4,2) gf256, 500 repairs x 70 subsets full rank")
 
@@ -93,7 +93,7 @@ def test_criterion_2_mds_preserved_6_3(campaign_6_3):
     500 repairs."""
     cluster, report, _, _ = campaign_6_3
     assert report.rounds == 500
-    assert report.mds_checks == 500
+    assert "invariants: mds=500/500 systematic=500/500 decode=500/500\n" in report.to_text()
     assert cluster.state.epoch == 500
     _passline("criterion 2b: (6,3) gf65536, 500 repairs x 924 subsets full rank")
 
@@ -102,7 +102,8 @@ def test_criterion_3_systematic_persistence(campaign_4_2, campaign_6_3):
     """After every repair the stripe reads back bit-exactly from the
     systematic nodes and the u columns are identical to epoch 0."""
     for cluster, report, _, u_epoch0 in (campaign_4_2, campaign_6_3):
-        assert report.systematic_checks == report.rounds  # checked every round
+        # checked every round
+        assert f"systematic={report.rounds}/{report.rounds} " in report.to_text()
         assert cluster.state.u_cols == u_epoch0
         dim = cluster.state.dim
         for s, stripe in enumerate(cluster.stripes):
@@ -180,10 +181,7 @@ def test_criterion_7_cut_inequalities_tight(campaign_4_2, campaign_6_3):
         k = cluster.state.k
         for record in cluster.ledger.records:
             assert record.symbols_downloaded == (k + 1) * record.stripes
-            plan = RepairPlan(
-                file_size=2 * k, node_storage=2, downloads=(1,) * (k + 1)
-            )
-            assert find_cut_violation(plan, k) is None
+            assert find_cut_violation(2 * k, 2, (1,) * (k + 1), k) is None
             for subset in combinations(range(k + 1), k - 1):
                 outside = (k + 1) - len(subset)
                 assert (k - 1) * 2 + outside == 2 * k  # tight, no slack

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdsrepair.bounds import (
-    RepairPlan,
     cut_bound,
     degree_bound,
     degree_bound_reaches,
@@ -52,11 +51,11 @@ def test_cut_bound_rejects_bad_shapes():
     lambda: cut_bound(4, 2, 3.5),
     lambda: cut_bound(4, True, 2),
     lambda: cut_bound(4.0, 2, 3),
-    lambda: find_cut_violation(RepairPlan(file_size=4, node_storage=2, downloads=(1, 1, 1)), True),
-    lambda: find_cut_violation(RepairPlan(file_size=4, node_storage=2, downloads=(1, 1, 1)), "2"),
-    lambda: find_cut_violation((4, 2, (1, 1, 1)), 2),
-    lambda: RepairPlan(file_size="4", node_storage=2, downloads=(1, 1, 1)),
-    lambda: RepairPlan(file_size=4, node_storage=2, downloads=(1, 1.5, 1)),
+    lambda: find_cut_violation(4, 2, (1, 1, 1), True),
+    lambda: find_cut_violation(4, 2, (1, 1, 1), "2"),
+    lambda: find_cut_violation((4, 2, (1, 1, 1)), 2, (1, 1, 1), 2),
+    lambda: find_cut_violation("4", 2, (1, 1, 1), 2),
+    lambda: find_cut_violation(4, 2, (1, 1.5, 1), 2),
 ], ids=["B '4'", "k '2'", "d 3.5", "k True", "B 4.0", "plan k True", "plan k '2'",
         "plan tuple", "plan B '4'", "plan download 1.5"])
 def test_bounds_reject_counts_that_are_not_ints_and_amounts_that_are_not_exact(call):
@@ -89,30 +88,24 @@ def test_uniform_plan_meets_every_inequality_with_equality():
     for k, d in [(2, 3), (3, 4), (2, 5), (4, 7)]:
         file_size = Fraction(60)
         beta = Fraction(file_size, k * (d - k + 1))
-        plan = RepairPlan(
-            file_size=file_size,
-            node_storage=Fraction(file_size, k),
-            downloads=(beta,) * d,
-        )
-        assert find_cut_violation(plan, k) is None
+        node_storage = Fraction(file_size, k)
+        assert find_cut_violation(file_size, node_storage, (beta,) * d, k) is None
         # at d = k+1 every inequality is tight
         if d == k + 1:
             for subset in combinations(range(d), k - 1):
                 outside = sum(beta for i in range(d) if i not in subset)
-                assert (k - 1) * plan.node_storage + outside == file_size
+                assert (k - 1) * node_storage + outside == file_size
 
 
 def test_zero_downloads_violate():
-    plan = RepairPlan(file_size=8, node_storage=3, downloads=(0, 0, 0))
-    violation = find_cut_violation(plan, 2)
+    violation = find_cut_violation(8, 3, (0, 0, 0), 2)
     assert violation == (0,)  # first lexicographic (k-1)-subset
 
 
 def test_simulator_shaped_plan_tight():
     # beta = 1 symbol from each of k+1 helpers, alpha = 2, B = 2k
     for k in (2, 3, 4):
-        plan = RepairPlan(file_size=2 * k, node_storage=2, downloads=(1,) * (k + 1))
-        assert find_cut_violation(plan, k) is None
+        assert find_cut_violation(2 * k, 2, (1,) * (k + 1), k) is None
         for subset in combinations(range(k + 1), k - 1):
             outside = sum(1 for i in range(k + 1) if i not in subset)
             assert (k - 1) * 2 + outside == 2 * k  # equality, not slack
@@ -120,11 +113,11 @@ def test_simulator_shaped_plan_tight():
 
 def test_plan_validation():
     with pytest.raises(BadShape):
-        RepairPlan(file_size=0, node_storage=1, downloads=(1,))
+        find_cut_violation(0, 1, (1,), 1)
     with pytest.raises(BadShape):
-        RepairPlan(file_size=4, node_storage=-1, downloads=(1, 1))
+        find_cut_violation(4, -1, (1, 1), 2)
     with pytest.raises(BadShape):
-        find_cut_violation(RepairPlan(file_size=4, node_storage=2, downloads=(1,)), 2)
+        find_cut_violation(4, 2, (1,), 2)
 
 
 @given(
@@ -141,13 +134,8 @@ def test_any_feasible_plan_downloads_at_least_the_bound(k, extra_d, slack, file_
     downloads = tuple(
         base + Fraction(slack[i % len(slack)], 7) for i in range(d)
     )
-    plan = RepairPlan(
-        file_size=file_size,
-        node_storage=Fraction(file_size, k),
-        downloads=downloads,
-    )
-    assert find_cut_violation(plan, k) is None
-    assert sum(plan.downloads) >= cut_bound(file_size, k, d)
+    assert find_cut_violation(file_size, Fraction(file_size, k), downloads, k) is None
+    assert sum(downloads) >= cut_bound(file_size, k, d)
 
 
 @given(
@@ -162,10 +150,6 @@ def test_passing_random_plans_respect_the_bound(k, extra_d, downloads, file_size
     d = k + 1 + extra_d
     if len(downloads) < d:
         downloads = list(downloads) * d
-    plan = RepairPlan(
-        file_size=file_size,
-        node_storage=Fraction(file_size, k),
-        downloads=tuple(downloads[:d]),
-    )
-    if find_cut_violation(plan, k) is None:
-        assert sum(plan.downloads) >= cut_bound(file_size, k, d)
+    downloads = tuple(downloads[:d])
+    if find_cut_violation(file_size, Fraction(file_size, k), downloads, k) is None:
+        assert sum(downloads) >= cut_bound(file_size, k, d)
