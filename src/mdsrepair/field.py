@@ -78,20 +78,21 @@ class GF:
         self.log = log
         self._data_tables = None
 
-    def data_tables(self) -> tuple:
+    def data_tables(self, build: bool = True) -> tuple:
         """(exp, log) for kernels that index them at data symbols.
 
         Such lookups land at random.  For m = 16 the tuples and their int
         objects span about 5 MiB and miss cache, so these kernels get
         typed-array copies (0.5 MiB), built on first use; for m = 8 the
         tuples are small and quicker to index, and are returned as they are.
+        With ``build`` false the tuples serve until a kernel builds the copies.
         """
-        if self._data_tables is None:
+        if self._data_tables is None and build:
             if self.m == 16:
                 self._data_tables = (array("H", self.exp), array("i", self.log))
             else:
                 self._data_tables = (self.exp, self.log)
-        return self._data_tables
+        return self._data_tables or (self.exp, self.log)
 
     def is_symbol(self, x) -> bool:
         """Whether ``x`` is a field symbol: an int, not a bool, in 0..|F|-1."""

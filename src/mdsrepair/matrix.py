@@ -85,18 +85,18 @@ def _back_substitute(gf: GF, a, n: int, c: int) -> list[int]:
     return x
 
 
-_last = (0, None, None)  # (field width, rows, inverse as (row, log) terms per column)
+_last = (0, None, None, None)  # (field width, rows, inverse by column, its (exp, log))
 
 
 def solve(gf: GF, m, b) -> list[int]:
     """Solve M x = b for square invertible M, given as a list of rows.
 
     A matrix equal to the last one solved (same field width, equal rows) is
-    inverted on its second solve in a row; each later solve returns M^-1 b.
-    Any other matrix is eliminated over [M | b] and becomes the record, so a
-    one-off solve costs what it did without one.  Answers never change.  The
-    record is one tuple, read once and replaced whole: threads sharing it at
-    worst solve afresh.
+    inverted on its second solve in a row; each later solve returns M^-1 b,
+    indexing ``GF.data_tables`` once built.  Any other matrix is eliminated
+    over [M | b] and becomes the record, so a one-off costs what it did.
+    Answers never change.  The record is one tuple, read once and replaced
+    whole: threads sharing it at worst solve afresh.
     """
     global _last
     n = len(m)
@@ -112,7 +112,7 @@ def solve(gf: GF, m, b) -> list[int]:
         a = [[*row, bv] for row, bv in zip(m, b)]
         if _eliminate(gf, a, n) is None:
             raise Singular("matrix is singular")
-        _last = (gf.m, m, None)  # not copied: it is read again before an inverse is built
+        _last = (gf.m, m, None, None)  # not copied: it is read again before an inverse is built
         return _back_substitute(gf, a, n, n)
     inverse = last[2]
     if inverse is None:
@@ -122,8 +122,8 @@ def solve(gf: GF, m, b) -> list[int]:
             raise Singular("matrix is singular")
         cols = [_back_substitute(gf, a, n, n + j) for j in range(n)]
         inverse = [[(r, gf.log[v]) for r, v in enumerate(col) if v] for col in cols]
-        _last = (gf.m, rows, inverse)
-    exp, log = gf.exp, gf.log
+        last = _last = (gf.m, rows, inverse, gf.data_tables(build=False))
+    exp, log = last[3]
     x = [0] * n
     for terms, v in zip(inverse, b):  # column j of M^-1, times b_j
         if v:

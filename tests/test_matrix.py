@@ -297,3 +297,19 @@ def test_two_threads_sharing_the_record_get_right_answers(m):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_the_reused_inverse_answers_alike_with_and_without_the_compact_tables(monkeypatch):
+    # an inverse indexes the tuples until a data kernel builds the typed-array copies
+    gf, rng = GF(16), random.Random("compact tables")
+    monkeypatch.setattr(matrix, "_last", (0, None, None, None))
+    for built in (False, True):
+        while True:
+            rows = [tuple(rng.randrange(gf.order) for _ in range(6)) for _ in range(6)]
+            if matrix.det(gf, rows):
+                break
+        for _ in range(4):
+            b = [rng.randrange(gf.order) for _ in range(6)]
+            assert matrix.solve(gf, rows, b) == oracle_solve(rows, b, 16)
+        assert (matrix._last[3][0] is gf.exp) is not built
+        gf.data_tables()
