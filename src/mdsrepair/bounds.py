@@ -73,7 +73,10 @@ def find_cut_violation(file_size, node_storage, downloads, k: int) -> tuple[int,
     must still see a full file's worth of information).  Subsets are
     enumerated in lexicographic order; helper indices are 0-based.
     """
-    downloads = tuple(downloads)
+    try:
+        downloads = tuple(downloads)
+    except TypeError:
+        raise BadShape(f"downloads must be amounts, one per helper, got {downloads!r}") from None
     if not all(map(is_amount, (file_size, node_storage, *downloads))):
         raise BadShape(
             f"amounts must be ints or Fractions, got file_size={file_size!r}, "

@@ -168,13 +168,25 @@ def first_singular(gf: GF, cols, size: int, extra=()) -> tuple[int, ...] | None:
     scan stops at the first zero.  A unit column of S (one nonzero entry
     c, in row r) is struck out together with row r: Laplace expansion
     along it multiplies the det by c (no sign in characteristic 2), so
-    zero stays zero and det runs on the kept rows of the other columns
+    zero stays zero and det runs on the kept rows R of the other columns
     and ``extra`` alone.  A second unit column on a struck row stays in,
     as an all-zero column of the reduced matrix, so its det is 0 as S's is.
+
+    Subsets that strike the same rows form a block, a run of the order
+    when the unit columns come first.  The block's first subset gets its
+    det on P, its other columns and ``extra`` over R.  When a second
+    subset of the block follows (so det(P) was not zero) and P is larger
+    than 3x3, one elimination rebases the columns a later subset can hold
+    outside P to Q = P^-1 G[R, :], with no ``matrix.solve``.  In Q, P's
+    own columns are unit columns; striking them, each later subset of the
+    block takes its det on Q's rows of the P columns it lacks and its own
+    columns outside P.  det(S) is det(P) times that det, zero exactly when
+    it is.  Only the current block is kept.
     """
     extra = list(extra)
     supports = [sum(1 << r for r, e in enumerate(col) if e) for col in cols]
     unit = [s if s & (s - 1) == 0 else 0 for s in supports]  # a unit column's row bit
+    block, base, q = -1, (), None  # the block's struck rows, P's columns, and Q by column
     for subset in combinations(range(len(cols)), size):
         struck, rest = 0, []
         for i in subset:
@@ -182,8 +194,23 @@ def first_singular(gf: GF, cols, size: int, extra=()) -> tuple[int, ...] | None:
             if bit and not struck & bit:
                 struck |= bit
             else:
-                rest.append(cols[i])
-        m = [row for r, row in enumerate(zip(*rest, *extra)) if not struck >> r & 1]
+                rest.append(i)
+        if struck != block:
+            block, base, q = struck, rest, None
+        elif q is None and len(first) > 3:  # a second subset: rebase on P, the first matrix
+            p = len(first)
+            kept = [r for r in range(p + struck.bit_count()) if not struck >> r & 1]
+            # outside P: columns that are not unit columns, or unit on a struck row
+            later = [i for i, b in enumerate(unit) if (b & struck or not b) and i not in base]
+            a = [[*row, *(cols[i][r] for i in later)] for row, r in zip(first, kept)]
+            matrix._eliminate(gf, a, p)
+            q = {i: matrix._back_substitute(gf, a, p, p + c) for c, i in enumerate(later)}
+        if q is None:
+            rows = zip(*[cols[i] for i in rest], *extra)
+            m = first = [row for r, row in enumerate(rows) if not struck >> r & 1]
+        else:
+            left = [j for j, i in enumerate(base) if i not in rest]
+            m = [[col[j] for j in left] for i in rest if (col := q.get(i))]  # none for P's columns
         if matrix.det(gf, m) == 0:
             return subset
     return None

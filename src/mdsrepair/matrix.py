@@ -8,11 +8,13 @@ reproducible.  Row swaps never flip a determinant sign because -1 = 1 in
 characteristic 2.
 
 The determinant is the hot path of the whole package (it runs once per
-column subset in the exhaustive MDS scans); ``solve`` serves coefficient
-solving and decode, and records the last matrix it solved, with its
-inverse from the second solve in a row (see ``solve``).  Both run one
-forward elimination, ``_eliminate``, which indexes the field's tables
-directly instead of calling per-element methods.
+column subset in the exhaustive MDS scans, mostly on 3x3 or smaller,
+which have closed forms); ``solve`` serves coefficient solving and
+decode, and records the last matrix it solved, with its inverse from the
+second solve in a row (see ``solve``).  Both run one forward
+elimination, ``_eliminate``, which indexes the field's tables directly
+instead of calling per-element methods; the subset scan also calls it
+and ``_back_substitute`` to rebase a block's columns.
 """
 
 from __future__ import annotations
@@ -58,13 +60,31 @@ def _eliminate(gf: GF, a, n: int) -> int | None:
 
 
 def det(gf: GF, m) -> int:
-    """Determinant by Gaussian elimination; exact over the field."""
+    """Determinant; exact over the field.
+
+    Sizes 0..3 have closed forms: 1, the entry, ad + bc, and Sarrus' six
+    terms, grouped by the first row (characteristic 2 has no signs).
+    Larger matrices go through Gaussian elimination.
+    """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise NonSquare(f"determinant needs a square matrix, got a {n}x{len(row)} row")
-    det_log = _eliminate(gf, [list(row) for row in m], n)
-    return 0 if det_log is None else gf.exp[det_log % (gf.order - 1)]
+    if n > 3:
+        det_log = _eliminate(gf, [list(row) for row in m], n)
+        return 0 if det_log is None else gf.exp[det_log % (gf.order - 1)]
+    if n < 2:
+        return m[0][0] if n else 1
+    exp, log = gf.exp, gf.log
+    if n == 2:
+        (a, b), (c, d) = m
+        return (exp[log[a] + log[d]] if a and d else 0) ^ (exp[log[b] + log[c]] if b and c else 0)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    m1 = (exp[log[e] + log[i]] if e and i else 0) ^ (exp[log[f] + log[h]] if f and h else 0)
+    m2 = (exp[log[d] + log[i]] if d and i else 0) ^ (exp[log[f] + log[g]] if f and g else 0)
+    m3 = (exp[log[d] + log[h]] if d and h else 0) ^ (exp[log[e] + log[g]] if e and g else 0)
+    return ((exp[log[a] + log[m1]] if a and m1 else 0) ^ (exp[log[b] + log[m2]] if b and m2 else 0)
+            ^ (exp[log[c] + log[m3]] if c and m3 else 0))
 
 
 def _back_substitute(gf: GF, a, n: int, c: int) -> list[int]:
@@ -89,7 +109,7 @@ _last = (0, None, None, None)  # (field width, rows, inverse by column, its (exp
 
 
 def solve(gf: GF, m, b) -> list[int]:
-    """Solve M x = b for square invertible M, given as a list of rows.
+    """Solve M x = b for square invertible M, given as a list or tuple of rows.
 
     A matrix equal to the last one solved (same field width, equal rows) is
     inverted on its second solve in a row; each later solve returns M^-1 b,
@@ -99,6 +119,8 @@ def solve(gf: GF, m, b) -> list[int]:
     whole: threads sharing it at worst solve afresh.
     """
     global _last
+    if type(m) is not list:
+        m = list(m)  # so the record, a list, matches a tuple of rows too
     n = len(m)
     last = _last
     same = last[1] == m and last[0] == gf.m

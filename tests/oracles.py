@@ -44,8 +44,8 @@ def cofactor_det(rows, m: int, poly: int) -> int:
     """Determinant by Laplace expansion along the first row."""
     n = len(rows)
     assert all(len(r) == n for r in rows)
-    if n == 1:
-        return rows[0][0]
+    if n == 0:
+        return 1  # the empty product
     acc = 0
     for j in range(n):
         v = rows[0][j]

@@ -56,8 +56,9 @@ def test_cut_bound_rejects_bad_shapes():
     lambda: find_cut_violation((4, 2, (1, 1, 1)), 2, (1, 1, 1), 2),
     lambda: find_cut_violation("4", 2, (1, 1, 1), 2),
     lambda: find_cut_violation(4, 2, (1, 1.5, 1), 2),
+    lambda: find_cut_violation(4, 2, 5, 2),
 ], ids=["B '4'", "k '2'", "d 3.5", "k True", "B 4.0", "plan k True", "plan k '2'",
-        "plan tuple", "plan B '4'", "plan download 1.5"])
+        "plan tuple", "plan B '4'", "plan download 1.5", "plan downloads 5"])
 def test_bounds_reject_counts_that_are_not_ints_and_amounts_that_are_not_exact(call):
     with pytest.raises(BadShape):
         call()

@@ -316,31 +316,54 @@ def plant(rng, cols, kind, gf):
         cols[p], cols[q] = unit(row), tuple(gf.mul(scale, e) for e in unit(row))
 
 
+def plant_in_block(rng, cols, size, gf):
+    """Rebuild a column from all but one of P's columns in a rebased block.
+
+    u_1..u_2k lead ``cols``.  The block that strikes u_1..u_a starts with
+    the subset taking the next size - a columns, P's columns; P is larger
+    than 3x3 when a < 2k - 3, and the block has later subsets when a column
+    follows P's.  Such a later column, rebuilt from all of P's columns but
+    one, makes the block's subset holding it and them singular, while each
+    subset before the block strikes more rows and holds too few columns to
+    contain them.  Returns that subset.
+    """
+    dim = len(cols[0])
+    a = rng.randrange(dim + size + 1 - len(cols), dim - 3)
+    pivots = range(dim, dim + size - a)
+    kept = sorted(rng.sample(pivots, len(pivots) - 1))
+    later = rng.randrange(pivots[-1] + 1, len(cols))
+    col = (0,) * dim
+    for i in kept:
+        scale = rng.randrange(1, gf.order)
+        col = tuple(x ^ gf.mul(scale, e) for x, e in zip(col, cols[i]))
+    cols[later] = col
+    return (*range(a), *kept, later)
+
+
 SCAN_STATES = {(4, 2): STATE_4_2, (6, 3): init_systematic(6, 3, GF65536)}
 
 
-@pytest.mark.parametrize(
-    "kind", ["none", "duplicate", "scaled", "zero", "scaled unit", "unit pair"]
-)
-@settings(max_examples=12)
-@given(
-    shape=st.sampled_from(sorted(SCAN_STATES)),
-    seed=st.integers(0, 2**32 - 1),
-    with_extra=st.booleans(),
-)
-def test_scan_matches_full_det_oracle(kind, shape, seed, with_extra):
-    """The strike returns the oracle's subset after the oracle's det count,
-    on drawn repaired states with planted columns, with and without extra."""
+def scan_against_oracle(state, kind, seed, with_extra):
+    """Repair ``state`` up to twice, plant ``kind``, and hold the strike to the
+    oracle's subset and det count.  Returns (subset, det sizes, planted subset)."""
     rng = random.Random(seed)
-    state = SCAN_STATES[shape]
     for _ in range(rng.randrange(3)):
         failed = rng.randrange(state.n) + 1
         state = repair(state, failed, default_helpers(state, failed), rng)[0]
     gf, size = state.field, state.dim
     cols = list(all_columns(state))
-    plant(rng, cols, kind, gf)
-    extra = ()
-    if with_extra:
+    planted, extra = None, ()
+    if kind == "rebased block":
+        if with_extra:  # a v column's acceptance scan: the candidate goes last
+            size -= 1
+            extra = (rng.choice([
+                cols.pop(rng.randrange(state.dim, len(cols))),
+                tuple(rng.randrange(gf.order) for _ in range(state.dim)),
+            ]),)
+        planted = plant_in_block(rng, cols, size, gf)
+    else:
+        plant(rng, cols, kind, gf)
+    if with_extra and not extra:
         size -= 1
         dropped = cols.pop(rng.randrange(len(cols)))
         extra = (rng.choice([
@@ -353,5 +376,73 @@ def test_scan_matches_full_det_oracle(kind, shape, seed, with_extra):
     assert got == want
     assert len(sizes) == len(full_sizes)
     assert all(s <= state.dim for s in sizes) and set(full_sizes) <= {state.dim}
-    if kind != "none" and kind != "scaled unit" and not with_extra:
+    if kind not in ("none", "scaled unit", "rebased block") and not with_extra:
         assert got is not None
+    if planted:  # the planted subset or, rarely, an earlier one
+        assert got is not None and got <= planted
+        if got == planted:  # its det: Q's row of the missing P column at the rebuilt column
+            assert sizes[-1] == 1
+    return got, sizes, planted
+
+
+@pytest.mark.parametrize(
+    "kind", ["none", "duplicate", "scaled", "zero", "scaled unit", "unit pair", "rebased block"]
+)
+@settings(max_examples=12)
+@given(
+    shape=st.sampled_from(sorted(SCAN_STATES)),
+    seed=st.integers(0, 2**32 - 1),
+    with_extra=st.booleans(),
+)
+def test_scan_matches_full_det_oracle(kind, shape, seed, with_extra):
+    """The strike returns the oracle's subset after the oracle's det count,
+    on drawn repaired states with planted columns, with and without extra.
+    A rebased block needs P larger than 3x3 and a later subset: (6, 3) on."""
+    if kind == "rebased block" and shape == (4, 2):
+        shape = (6, 3)
+    scan_against_oracle(SCAN_STATES[shape], kind, seed, with_extra)
+
+
+@pytest.mark.parametrize("seed, with_extra", [(84, False), (48, True)])
+def test_scan_matches_full_det_oracle_in_an_8_4_rebased_block(seed, with_extra):
+    state = init_systematic(8, 4, GF65536)
+    got, sizes, planted = scan_against_oracle(state, "rebased block", seed, with_extra)
+    assert got == planted and sizes[-1] == 1
+
+
+@pytest.mark.parametrize("accept", [False, True], ids=["full scan", "acceptance scan"])
+def test_scan_dets_after_each_block_start_are_at_most_3x3(accept):
+    # (6, 3): a block striking a of u_1..u_6 starts with a (6-a)x(6-a) det.
+    # For a <= 2 each later subset takes the det of Q's rows of the P
+    # columns it lacks at its columns outside P; else the (6-a)x(6-a) det
+    rng = random.Random(63)
+    state = SCAN_STATES[(6, 3)]
+    for failed in (1, 6, 2):
+        state = repair(state, failed, default_helpers(state, failed), rng)[0]
+    cols, size, extra = all_columns(state), 6, ()
+    if accept:  # v_6 checked as the candidate for node 6
+        cols, size, extra = cols[:-1], 5, cols[-1:]
+    got, sizes = counted_dets(first_singular, state.field, cols, size, extra)
+    assert got is None
+    starts, base, want = set(), {}, []
+    for rank, subset in enumerate(combinations(range(len(cols)), size)):
+        units = tuple(i for i in subset if i < 6)
+        rest = {i for i in subset if i >= 6}
+        if units not in base:
+            base[units] = rest
+            starts.add(rank)
+        want.append(len(rest - base[units]) if len(units) <= 2 and rank not in starts
+                    else 6 - len(units))
+    assert sizes == want
+    assert max(s for rank, s in enumerate(sizes) if rank not in starts) <= 3
+
+
+def test_scan_second_unit_column_in_a_rebased_block():
+    # u_1, five parity columns, then 3*e_1: the block striking row 1 starts
+    # with u_1 and the parity columns (P is 5x5), and its second subset takes
+    # 3*e_1 for the last of them, a zero column of Q: a 1 x 1 zero det
+    u, v = SCAN_STATES[(6, 3)].u_cols, SCAN_STATES[(6, 3)].v_cols
+    cols = [u[0], *v[:5], (3, 0, 0, 0, 0, 0), *u[1:], v[5]]
+    got, sizes = counted_dets(first_singular, GF65536, cols, 6)
+    assert (got, sizes) == ((0, 1, 2, 3, 4, 6), [5, 1])
+    assert plain_first_singular(GF65536, cols, 6) == got

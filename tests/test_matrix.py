@@ -68,6 +68,29 @@ def test_det_matches_cofactor_oracle(m):
     assert matrix.det(GF256, m) == cofactor_det(m, 8, 0x11D)
 
 
+def small_square(m):
+    """An n x n matrix over GF(2^m) for n = 0..3, about a third of its entries zero."""
+    entry = st.one_of(st.just(0), st.integers(1, 2**m - 1))
+    return st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@given(st.sampled_from([8, 16]).flatmap(lambda m: st.tuples(st.just(m), small_square(m))))
+def test_closed_form_dets_match_cofactor_oracle(case):
+    m, rows = case
+    assert matrix.det(FIELDS[m], rows) == cofactor_det(rows, m, DEFAULT_POLY[m])
+
+
+@pytest.mark.parametrize("rows", [
+    [[]], [[1, 2]], [[1], [2, 3]], [[1, 2], [3]], [[1, 2, 3], [4, 5], [6, 7, 8]],
+    [[1, 2], [3, 4], [5, 6]],
+], ids=["1x0", "1x2", "2 ragged first", "2 ragged last", "3 ragged", "3x2"])
+def test_small_ragged_matrices_are_not_square(rows):
+    with pytest.raises(NonSquare):
+        matrix.det(GF256, rows)
+
+
 @given(square_gf256, st.randoms(use_true_random=False))
 def test_det_multiplicative(m, pyrand):
     n = len(m)
@@ -201,6 +224,21 @@ def test_a_repeated_matrix_is_eliminated_twice(monkeypatch):
     for _ in range(3):  # the same rows over the other field are another matrix
         check_solve(16, rows, [rng.randrange(2**16) for _ in range(4)])
     assert len(calls) == 14
+
+
+def test_a_repeated_tuple_of_rows_reaches_the_inverse(monkeypatch):
+    # the record holds a list of rows; a tuple of the same rows still hits it
+    rng = random.Random(12)
+    rows = tuple(tuple(row) for row in rand_invertible(rng, 4))
+    monkeypatch.setattr(matrix, "_last", (0, None, None, None))
+    calls = []
+    eliminate = matrix._eliminate
+    monkeypatch.setattr(matrix, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    for _ in range(10):
+        check_solve(8, rows, [rng.randrange(256) for _ in range(4)])
+    assert len(calls) == 2 and matrix._last[2] is not None
+    check_solve(8, list(rows), [rng.randrange(256) for _ in range(4)])  # a list of them too
+    assert len(calls) == 2
 
 
 def change_entry(rows):
