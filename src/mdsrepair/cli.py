@@ -212,7 +212,7 @@ def _write_state(path: str, state: CodeState, history) -> None:
     """Replace ``path`` atomically: temp file, fsync, then rename over it."""
     text = dump_state_text(state, history)
     target = Path(path).resolve()
-    tmp = target.with_name(f".{target.name}.tmp")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")  # no other writer truncates it
     try:
         with open(tmp, "w") as f:
             f.write(text)

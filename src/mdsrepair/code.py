@@ -126,6 +126,8 @@ def init_systematic(n: int, k: int, field: GF) -> CodeState:
     u_(2k+1)..u_n and then v_1..v_n, in that order.
     """
     check_shape(n, k)
+    if not isinstance(field, GF):
+        raise BadShape(f"field must be a GF, got {type(field).__name__}")
     if 2 * n > field.order:
         raise FieldTooSmall(
             f"need 2n={2 * n} distinct field points, field has {field.order}"

@@ -10,7 +10,7 @@ class MdsRepairError(Exception):
 
 
 class BadPolynomial(MdsRepairError, ValueError):
-    """Reduction polynomial is not a primitive degree-m polynomial."""
+    """No reduction polynomial for the requested field width (only 8 and 16 have one)."""
 
 
 class ZeroInverse(MdsRepairError, ZeroDivisionError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from array import array
 
-from .errors import BadPolynomial, ZeroInverse
+from .errors import BadPolynomial, NotASymbol, ZeroInverse
 
 # Widely deployed primitive polynomials (x^m bit included).
 DEFAULT_POLY = {
@@ -26,9 +26,9 @@ DEFAULT_POLY = {
 class GF:
     """GF(2^m) reduced by DEFAULT_POLY[m], with tables built once.
 
-    Construction checks that the polynomial is primitive, i.e. that x
-    generates all 2^m - 1 nonzero elements, so a bad constant fails fast
-    instead of yielding a corrupt table.
+    Both constants are primitive, so the powers of x run through all
+    2^m - 1 nonzero elements; construction trusts this, and the test
+    suite proves it over the whole tables.
 
     The table attributes are immutable after construction and safe to
     share across threads.  ``exp`` is doubled in length so callers may
@@ -45,27 +45,15 @@ class GF:
             raise BadPolynomial(f"unsupported field width m={m}; expected 8 or 16")
         poly = DEFAULT_POLY[m]
         order = 1 << m
-        if poly >> m != 1:
-            raise BadPolynomial(
-                f"reduction polynomial 0x{poly:x} does not have degree exactly {m}"
-            )
-
         exp = []
         log = [-1] * order
         x = 1
         for i in range(order - 1):
-            if log[x] != -1:
-                raise BadPolynomial(
-                    f"0x{poly:x} is not primitive: x has multiplicative order {i}"
-                    f" < {order - 1}"
-                )
             exp.append(x)
             log[x] = i
             x <<= 1
             if x & order:
                 x ^= poly
-        if x != 1:
-            raise BadPolynomial(f"0x{poly:x} is not irreducible over GF(2)")
 
         self.m = m
         self.order = order
@@ -76,22 +64,19 @@ class GF:
         exp = tuple(exp)
         self.exp = exp + exp  # doubled: exp[i] == exp[i + order - 1]
         self.log = log
-        self._data_tables = None
+        self._data_tables = (self.exp, log) if m == 8 else None
 
     def data_tables(self, build: bool = True) -> tuple:
         """(exp, log) for kernels that index them at data symbols.
 
         Such lookups land at random.  For m = 16 the tuples and their int
         objects span about 5 MiB and miss cache, so these kernels get
-        typed-array copies (0.5 MiB), built on first use; for m = 8 the
-        tuples are small and quicker to index, and are returned as they are.
-        With ``build`` false the tuples serve until a kernel builds the copies.
+        typed-array copies (0.5 MiB), built on first use; with ``build``
+        false the tuples serve until a kernel has built them.  For m = 8
+        the tuples, small and quicker to index, are the data tables.
         """
         if self._data_tables is None and build:
-            if self.m == 16:
-                self._data_tables = (array("H", self.exp), array("i", self.log))
-            else:
-                self._data_tables = (self.exp, self.log)
+            self._data_tables = (array("H", self.exp), array("i", self.log))
         return self._data_tables or (self.exp, self.log)
 
     def is_symbol(self, x) -> bool:
@@ -104,6 +89,8 @@ class GF:
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
+        if not self.is_symbol(a):
+            raise NotASymbol(f"{a!r} is not a symbol of GF(2^{self.m})")
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         return self.exp[self.order - 1 - self.log[a]]

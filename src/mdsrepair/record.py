@@ -14,9 +14,9 @@ from .errors import ReadOnly
 class Record:
     """``==``, ``hash`` and a field-by-field repr over ``_fields``.
 
-    ``_fields`` names the fields in the order ``__init__`` takes them.  Two
-    records are equal when they are of the same class and their fields are
-    equal, as for a dataclass.  A mutable subclass sets ``__hash__ = None``.
+    ``_fields`` names the fields in the order a Frozen ``__init__`` takes
+    them.  Two records are equal when they are of the same class and their
+    fields are equal, as for a dataclass; a mutable subclass sets ``__hash__ = None``.
     """
 
     __slots__ = ()

@@ -50,8 +50,8 @@ class BandwidthLedger(Record):
     __slots__ = _fields = ("records",)
     __hash__ = None
 
-    def __init__(self, records=None):
-        self.records = [] if records is None else records
+    def __init__(self):
+        self.records = []
 
 
 class Cluster(Record):
@@ -68,12 +68,12 @@ class Cluster(Record):
     __slots__ = _fields = ("state", "data", "node_store", "ledger", "history")
     __hash__ = None
 
-    def __init__(self, state: CodeState, data: bytes, node_store, ledger=None, history=None):
+    def __init__(self, state: CodeState, data: bytes, node_store):
         self.state = state
         self.data = data
         self.node_store = node_store
-        self.ledger = BandwidthLedger() if ledger is None else ledger
-        self.history = [] if history is None else history
+        self.ledger = BandwidthLedger()
+        self.history = []
 
     @property
     def stripes(self) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mdsrepair import matrix
 from mdsrepair.cli import dump_state_text, load_state_text, main
 from mdsrepair.errors import StateFileError
 
@@ -287,6 +288,34 @@ def test_state_write_is_atomic(tmp_path, capsys, monkeypatch, fault):
     assert f"injected {fault} failure" in err
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
+def test_repair_leaves_other_writers_temp_files_alone(tmp_path, capsys):
+    """A second writer of the same file never truncates the first one's temp file."""
+    path = gen_state(tmp_path, capsys)
+    others = {".state.json.tmp": b'{"version": "1", "fie', ".state.json.1.tmp": b"{\n"}
+    for name, partial in others.items():
+        (tmp_path / name).write_bytes(partial)
+    code, _, err = run(capsys, "repair", str(path), "--failed", "4", "--seed", "3")
+    assert code == 0, err
+    for name, partial in others.items():
+        assert (tmp_path / name).read_bytes() == partial
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*others, "state.json"])
+
+
+def test_loader_builds_an_inverse_but_no_typed_tables(tmp_path, capsys, monkeypatch):
+    """Replaying two repairs with the same helper columns solves one matrix
+    twice in a row, so the loader builds its inverse; a cold command must not
+    pay for the GF(2^16) typed arrays to use it a few times."""
+    path = gen_state(tmp_path, capsys, n=8, k=4, field="gf65536")
+    for failed in ("7", "8"):  # default helpers 1..5 both times, none of them repaired
+        code, _, err = run(capsys, "repair", str(path), "--failed", failed, "--seed", "1")
+        assert code == 0, err
+    monkeypatch.setattr(matrix, "_last", (0, None, None, None))
+    state, history = load_state_text(path.read_text())
+    assert [t.helpers for t in history] == [(1, 2, 3, 4, 5)] * 2
+    assert matrix._last[2] is not None
+    assert state.field._data_tables is None
 
 
 def test_loader_rejects_non_basis_u(tmp_path, capsys):

@@ -91,6 +91,27 @@ def test_random_element_uniform_m8(gf256):
         assert abs(count - expected) <= 5 * sigma, (value, count)
 
 
+@pytest.mark.parametrize("m", [8, 16])
+def test_tables_prove_the_constant_primitive(m, gf256, gf65536):
+    """The whole tables, once per width: x generates every nonzero element.
+
+    GF builds its tables without checking its constant, so this is the
+    proof that each DEFAULT_POLY is primitive: a constant such as 0x11b,
+    irreducible but with x of order 51, fails the first assertion.
+    """
+    gf = gf256 if m == 8 else gf65536
+    q1 = gf.order - 1
+    exp, log = gf.exp, gf.log
+    assert sorted(exp[:q1]) == list(range(1, gf.order))  # each nonzero element once
+    assert exp[0] == 1
+    for i in range(1, q1):
+        assert exp[i] == clmul_reduce(exp[i - 1], 2, m, gf.poly)
+    assert clmul_reduce(exp[q1 - 1], 2, m, gf.poly) == 1  # x^(q-1) = 1 closes the cycle
+    assert len(exp) == 2 * q1 and exp[q1:] == exp[:q1]
+    assert len(log) == gf.order and log[0] == -1
+    assert all(log[exp[i]] == i for i in range(q1))
+
+
 def test_bad_polynomials_rejected():
     # Each width has one polynomial; foreign ones are rejected by the
     # state-file loader (test_cli::test_loader_rejects_bad_reduction_poly).

@@ -1,4 +1,5 @@
-"""What the package imports: every imported name is used, and a cold start stays small.
+"""What the package imports: every imported name is used, a cold start stays
+small, and the sources parse at the oldest Python that pyproject.toml allows.
 
 ``__init__.py`` is left out of the unused-name check, since it imports
 names only to re-export them.
@@ -6,6 +7,7 @@ names only to re-export them.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +70,23 @@ def test_cold_import_loads_neither_dataclasses_nor_fractions():
         [sys.executable, "-c", COLD_CHECK], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split("\n")[0] == "[] [] True"
+
+
+def minimum_python() -> tuple[int, int]:
+    """``requires-python``'s lower bound, read with a regex: tomllib is 3.11+."""
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+def test_minimum_python_check_rejects_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # new in 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "mdsrepair").glob("*.py")), ids=lambda p: p.name
+)
+def test_sources_parse_at_the_minimum_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=minimum_python())

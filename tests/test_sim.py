@@ -308,8 +308,14 @@ def test_campaign_rejects_negative_rounds():
     (lambda c, rng: ingest(5, 4, 2, GF256), NotBytes),
     (lambda c, rng: ingest("0123", 4, 2, GF256), NotBytes),
     (lambda c, rng: ingest([48, 49], 4, 2, GF256), NotBytes),
+    (lambda c, rng: ingest(b"", 4, 2, "gf256"), BadShape),
+    (lambda c, rng: init_systematic(4, 2, 8), BadShape),
+    (lambda c, rng: c.state.field.inv(-1), NotASymbol),
+    (lambda c, rng: c.state.field.inv(300), NotASymbol),
+    (lambda c, rng: c.state.field.inv(True), NotASymbol),
 ], ids=["helpers=5", "extract 5", "extract None", "rounds 1.5", "rounds '2'", "rounds True",
-        "alpha1 True", "ingest 5", "ingest str", "ingest list"])
+        "alpha1 True", "ingest 5", "ingest str", "ingest list", "ingest field str",
+        "init field int", "inv -1", "inv 300", "inv True"])
 def test_wrong_type_arguments_raise_typed_errors(call, error):
     """Each fails typed before it changes anything."""
     cluster = ingest(b"0123456789", 4, 2, GF256)
